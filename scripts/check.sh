@@ -12,7 +12,7 @@
 #                                    # concurrency suite (engine, pool,
 #                                    # parallel, intra, trace,
 #                                    # observability, cache reuse, api,
-#                                    # socket, server) only
+#                                    # socket, server, planner) only
 #   scripts/check.sh --bench-gate    # opt-in perf gate: re-run bench_cache,
 #                                    # bench_intra, and bench_oracle and
 #                                    # diff against the checked-in
@@ -67,8 +67,9 @@ elif [[ "${1:-}" == "--tsan" || "${KPJ_CHECK_TSAN:-0}" == "1" ]]; then
   mode=tsan
   cmake_flags+=("-DCMAKE_CXX_FLAGS=-fsanitize=thread -fno-sanitize-recover=all")
   # hub_label_index_test is in the list for its multi-threaded
-  # byte-identical-build property, not for raw coverage.
-  ctest_flags+=("-R" "engine_test|thread_pool_test|parallel_test|intra_test|trace_test|observability_test|cache_reuse_test|hub_label_index_test|api_test|socket_test|server_test")
+  # byte-identical-build property, not for raw coverage; planner_test for
+  # its multi-worker auto engines sharing the planner mutex.
+  ctest_flags+=("-R" "engine_test|thread_pool_test|parallel_test|intra_test|trace_test|observability_test|cache_reuse_test|hub_label_index_test|api_test|socket_test|server_test|planner_test")
 elif [[ "${1:-}" == "--bench-gate" || "${KPJ_CHECK_BENCH_GATE:-0}" == "1" ]]; then
   mode=bench-gate
 fi

@@ -100,11 +100,15 @@ std::vector<Algorithm> QueryPlanner::ColdCandidates() const {
     // the variant built for that regime (§6 of the paper).
     return {Algorithm::kIterBoundSptINoLm};
   }
-  // DA (quadratic deviation baseline) and the no-landmark variant are
-  // dominated when an oracle is attached; everything else stays in play
-  // so the online profile can promote it.
+  // DA (quadratic deviation baseline), the no-landmark variant and DA-SPT
+  // are dominated when an oracle is attached. For DA-SPT that holds even
+  // with its reverse SPT resident: on perfbench engine_category the
+  // DA-SPT picks ran at p50 3.4 ms / p99 188 ms against IterBound_I's
+  // 0.78 / 13.8 ms, and dropping them raised qps from 192 to 1058 /s
+  // (4-vCPU host). Everything else stays in play so the online profile
+  // can promote it.
   return {Algorithm::kIterBoundSptI, Algorithm::kIterBoundSptP,
-          Algorithm::kIterBound, Algorithm::kBestFirst, Algorithm::kDaSpt};
+          Algorithm::kIterBound, Algorithm::kBestFirst};
 }
 
 PlannerDecision QueryPlanner::Plan(const KpjQuery& query,
@@ -155,62 +159,60 @@ PlannerDecision QueryPlanner::Plan(const KpjQuery& query,
 
   const bool use_oracle = base_.oracle != nullptr;
 
-  // The best forward (non-DA-SPT) algorithm by the global profile — the
-  // alternative every residency decision is weighed against. Large k
-  // disqualifies DA-SPT outright (per-deviation enumeration dwarfs any
-  // tree reuse there).
-  Algorithm forward_algo = use_oracle ? Algorithm::kIterBoundSptI
-                                      : Algorithm::kIterBoundSptINoLm;
-  uint64_t forward_best = ~0ull;
-  for (Algorithm a : ColdCandidates()) {
-    if (a == Algorithm::kDaSpt) continue;
-    uint64_t v = Effective(a);
-    if (v < forward_best) {
-      forward_best = v;
-      forward_algo = a;
-    }
-  }
-  const bool dasp_k_ok = query.k < options_.large_k;
-
-  // 2./3. Side-effect-free residency probes. The DA-SPT tree depends on
-  // the target set alone (the paper's join shape: one category, many
-  // sources), so a hit removes DA-SPT's biggest cost — the full reverse
-  // SPT. Whether what remains beats the forward solvers is decided by the
-  // paired per-shape measurements in this shape's recurrence slot: a
-  // global EWMA averages over shapes and cannot arbitrate a specific
-  // category (see RepeatSlot).
+  // 2./3./4. Side-effect-free residency probes. DA-SPT is a choice only
+  // without an oracle (see ColdCandidates): with landmark bounds the
+  // forward incremental solver beats even a resident DA-SPT tree, so the
+  // reverse-tree probe and the recurrence table, which only the DA-SPT
+  // rules read, are skipped and only the forward probe runs.
   if (cache != nullptr && !targets.empty()) {
-    uint64_t fp = FingerprintTargets(targets, epoch);
-    RepeatSlot& slot = repeats_[fp % kRepeatSlots];
-    const bool slot_matches = slot.fingerprint == fp;
-    decision.shape_fp = fp;
+    // Without an oracle the only forward candidate is IterBound_I-NL, the
+    // alternative every DA-SPT decision is weighed against. Large k
+    // disqualifies DA-SPT outright (per-deviation enumeration dwarfs any
+    // tree reuse there).
+    constexpr Algorithm forward_algo = Algorithm::kIterBoundSptINoLm;
+    const bool dasp_k_ok = query.k < options_.large_k;
+    RepeatSlot* slot = nullptr;
+    bool slot_matches = false;
+    if (!use_oracle) {
+      // 2. The DA-SPT tree depends on the target set alone (the paper's
+      // join shape: one category, many sources), so a hit removes
+      // DA-SPT's biggest cost — the full reverse SPT. Whether what remains
+      // beats the forward solver is decided by the paired per-shape
+      // measurements in this shape's recurrence slot: a global EWMA
+      // averages over shapes and cannot arbitrate a specific category
+      // (see RepeatSlot).
+      decision.shape_fp = FingerprintTargets(targets, epoch);
+      slot = &repeats_[decision.shape_fp % kRepeatSlots];
+      slot_matches = slot->fingerprint == decision.shape_fp;
 
-    SptCacheKey reverse_key;
-    reverse_key.kind = SptCacheKind::kReverseTargetSpt;
-    reverse_key.epoch = epoch;
-    reverse_key.targets = targets;
-    if (dasp_k_ok && cache->Contains(reverse_key)) {
-      const uint64_t shape_dasp = slot_matches ? slot.dasp_x16us : 0;
-      const uint64_t shape_fwd = slot_matches ? slot.fwd_x16us : 0;
-      if (shape_dasp == 0) {
-        decision.algorithm = Algorithm::kDaSpt;
-        decision.reason = "resident_measure_dasp";
-        decision.resident = true;
-      } else if (shape_fwd == 0) {
-        decision.algorithm = forward_algo;
-        decision.reason = "resident_probe_forward";
-      } else if (shape_dasp <= shape_fwd) {
-        decision.algorithm = Algorithm::kDaSpt;
-        decision.reason = "resident_best_dasp";
-        decision.resident = true;
-      } else {
-        decision.algorithm = forward_algo;
-        decision.reason = "resident_best_forward";
+      SptCacheKey reverse_key;
+      reverse_key.kind = SptCacheKind::kReverseTargetSpt;
+      reverse_key.epoch = epoch;
+      reverse_key.targets = targets;
+      if (dasp_k_ok && cache->Contains(reverse_key)) {
+        const uint64_t shape_dasp = slot_matches ? slot->dasp_x16us : 0;
+        const uint64_t shape_fwd = slot_matches ? slot->fwd_x16us : 0;
+        if (shape_dasp == 0) {
+          decision.algorithm = Algorithm::kDaSpt;
+          decision.reason = "resident_measure_dasp";
+          decision.resident = true;
+        } else if (shape_fwd == 0) {
+          decision.algorithm = forward_algo;
+          decision.reason = "resident_probe_forward";
+        } else if (shape_dasp <= shape_fwd) {
+          decision.algorithm = Algorithm::kDaSpt;
+          decision.reason = "resident_best_dasp";
+          decision.resident = true;
+        } else {
+          decision.algorithm = forward_algo;
+          decision.reason = "resident_best_forward";
+        }
+        ++decisions_;
+        return decision;
       }
-      ++decisions_;
-      return decision;
     }
 
+    // 3. Forward SPT_I snapshot resident for this (source, targets).
     SptCacheKey forward_key;
     forward_key.kind = SptCacheKind::kForwardSpti;
     forward_key.epoch = epoch;
@@ -233,29 +235,32 @@ PlannerDecision QueryPlanner::Plan(const KpjQuery& query,
     // resident queries it enables would plausibly be routed to DA-SPT:
     // prefer this shape's own measured forward cost as the bar, falling
     // back to the global profile when the shape was never run.
-    uint32_t seen = slot_matches ? slot.count : 0;
-    if (!options_.pinned) {
-      if (slot_matches) {
-        ++slot.count;
-      } else {
-        slot = RepeatSlot{};
-        slot.fingerprint = fp;
-        slot.count = 1;
+    if (!use_oracle) {
+      uint32_t seen = slot_matches ? slot->count : 0;
+      if (!options_.pinned) {
+        if (slot_matches) {
+          ++slot->count;
+        } else {
+          *slot = RepeatSlot{};
+          slot->fingerprint = decision.shape_fp;
+          slot->count = 1;
+        }
       }
-    }
-    const uint64_t resident_est =
-        profile_.dasp_resident_samples > 0
-            ? profile_.dasp_resident_ewma_x16us
-            : kDaSptResidentPriorX16 * profile_.scale_x256 >> 8;
-    const uint64_t forward_bar =
-        slot_matches && slot.fwd_x16us != 0 ? slot.fwd_x16us : forward_best;
-    if (dasp_k_ok && resident_est <= forward_bar &&
-        (seen >= 1 || targets.size() >= options_.category_targets)) {
-      decision.algorithm = Algorithm::kDaSpt;
-      decision.reason = seen >= 1 ? "repeat_targets_seed_spt"
-                                  : "category_targets_seed_spt";
-      ++decisions_;
-      return decision;
+      const uint64_t resident_est =
+          profile_.dasp_resident_samples > 0
+              ? profile_.dasp_resident_ewma_x16us
+              : kDaSptResidentPriorX16 * profile_.scale_x256 >> 8;
+      const uint64_t forward_bar = slot_matches && slot->fwd_x16us != 0
+                                       ? slot->fwd_x16us
+                                       : Effective(forward_algo);
+      if (dasp_k_ok && resident_est <= forward_bar &&
+          (seen >= 1 || targets.size() >= options_.category_targets)) {
+        decision.algorithm = Algorithm::kDaSpt;
+        decision.reason = seen >= 1 ? "repeat_targets_seed_spt"
+                                    : "category_targets_seed_spt";
+        ++decisions_;
+        return decision;
+      }
     }
   }
 

@@ -80,7 +80,8 @@ struct PlannerDecision {
   /// resident-mode EWMA rather than the cold one.
   bool resident = false;
   /// Fingerprint of the query's canonical target set (0 when none was
-  /// computed — GKPJ or cache-less engines). The engine passes it back
+  /// computed — GKPJ, cache-less engines, or an oracle attached, where
+  /// no DA-SPT rule reads the recurrence table). The engine passes it back
   /// into RecordLatency so the measured latency also lands in the
   /// shape-conditioned recurrence slot.
   uint64_t shape_fp = 0;
@@ -106,12 +107,18 @@ struct PlannerOptions {
   /// any tree reuse (BENCH_planner: ~19x slower than IterBound_I at k=96
   /// even with the reverse SPT resident). At or above this the residency
   /// and repeat rules never route to DA-SPT, and exploration is disabled.
+  /// Those rules only run without an oracle; with one attached, DA-SPT is
+  /// never chosen at any k, and large_k only gates exploration.
   uint32_t large_k = 64;
   /// Target-set size at or above which a query is treated as the paper's
   /// category join (all POIs of one category) and routed to DA-SPT on
   /// first sight — the reverse tree it builds is keyed by the category
   /// alone, so the very first query seeds the cache for every source that
-  /// follows. Subject to the same profile/k gates as the residency rules.
+  /// follows. Subject to the same profile/k gates as the residency rules,
+  /// and like them applied only without an oracle: with landmark bounds
+  /// the seeded DA-SPT queries lost to IterBound_I (perfbench
+  /// engine_category: DA-SPT picks p50 3.4 ms / p99 188 ms against
+  /// IterBound_I's 0.78 / 13.8 ms).
   uint32_t category_targets = 32;
   /// Pinned mode freezes the profile and the repeat-set table: Plan()
   /// becomes a pure function of the query features, so choices are
@@ -128,27 +135,35 @@ struct PlannerOptions {
 /// profile — and never looks at the answer, so the choice can only change
 /// *which* solver produces the (byte-identical) paths, never the paths.
 ///
+/// DA-SPT is a choice only when no oracle is attached. With landmark
+/// bounds the forward incremental solver wins even against a resident
+/// reverse SPT (perfbench engine_category, 240k-node road graph: the
+/// DA-SPT picks ran at p50 3.4 ms / p99 188 ms against IterBound_I's
+/// 0.78 / 13.8 ms and set the workload's p99), so rules 2 and 4 fire
+/// only without an oracle, where resident DA-SPT does win the category
+/// join (bench_planner).
+///
 /// Decision ladder, first match wins:
 ///  1. GKPJ (multiple sources) → profile-best cold algorithm; counted as
 ///     a fallback (the caches do not describe the augmented graph).
-///  2. Reverse target-SPT resident (DA-SPT's key: targets only) and k
-///     below large_k → paired per-shape measurement: run DA-SPT once to
-///     measure the resident path, run the best forward algorithm once to
-///     measure the alternative, then commit to whichever measured faster
-///     *for this target set* (the winner's estimate keeps updating, so
-///     the choice can still flip later). Residency is evidence the tree
-///     build is paid off, not a verdict: on instances where forward
-///     solvers beat even a resident DA-SPT, the pair of measurements
-///     routes past the tree.
+///  2. No oracle, reverse target-SPT resident (DA-SPT's key: targets
+///     only) and k below large_k → paired per-shape measurement: run
+///     DA-SPT once to measure the resident path, run the forward
+///     algorithm once to measure the alternative, then commit to
+///     whichever measured faster *for this target set* (the winner's
+///     estimate keeps updating, so the choice can still flip later).
+///     Residency is evidence the tree build is paid off, not a verdict:
+///     where the forward solver beats even a resident DA-SPT, the pair
+///     of measurements routes past the tree.
 ///  3. Forward SPT_I snapshot resident for this (source, targets) →
 ///     IterBound_I (the variant matching the oracle config).
-///  4. Category-sized target set (|V_T| >= category_targets) or a target
-///     set seen repeatedly, no tree resident yet, same k/profile gates as
-///     rule 2 → DA-SPT once, deliberately paying the full SPT to seed the
-///     cache for the repeats the shape predicts (the paper's join:
-///     category target sets recur across sources). The seed's cost lands
-///     in the cold DA-SPT EWMA; the repeats it enables land in the
-///     resident one.
+///  4. No oracle, category-sized target set (|V_T| >= category_targets)
+///     or a target set seen repeatedly, no tree resident yet, same
+///     k/profile gates as rule 2 → DA-SPT once, deliberately paying the
+///     full SPT to seed the cache for the repeats the shape predicts (the
+///     paper's join: category target sets recur across sources). The
+///     seed's cost lands in the cold DA-SPT EWMA; the repeats it enables
+///     land in the resident one.
 ///  5. Cold → the EWMA argmin of the cold candidate set, optionally
 ///     epsilon-greedy (1/explore_one_in, off by default; only on
 ///     typical-cost queries: quintile <= 2, k < large_k, and only among
@@ -220,6 +235,8 @@ class QueryPlanner {
   /// it averages over shapes, and a forward solver that is cheap on small
   /// ad-hoc queries can be 3x slower than a resident DA-SPT on the very
   /// category the decision is about (and vice versa on another instance).
+  /// Only the DA-SPT rules read it, so it is untouched when an oracle is
+  /// attached.
   struct RepeatSlot {
     uint64_t fingerprint = 0;
     uint32_t count = 0;

@@ -4,6 +4,7 @@
 #include <queue>
 #include <set>
 #include <sstream>
+#include <string>
 #include <unordered_set>
 #include <vector>
 
@@ -99,42 +100,32 @@ Status ValidateResultStructure(const Graph& graph, const KpjQuery& query,
   }
   for (size_t i = 0; i < paths.size(); ++i) {
     const Path& p = paths[i];
-    std::ostringstream where;
-    where << "path " << i << " (" << PathToString(p) << "): ";
-    if (p.nodes.empty()) {
-      return Status::FailedPrecondition(where.str() + "empty");
-    }
-    if (p.nodes.size() < 2) {
-      return Status::FailedPrecondition(where.str() +
-                                        "trivial zero-length path");
-    }
+    // The "path i (...): " prefix renders the whole path, so it is built
+    // only once a check has failed.
+    auto fail = [&](const std::string& what) {
+      return Status::FailedPrecondition("path " + std::to_string(i) + " (" +
+                                        PathToString(p) + "): " + what);
+    };
+    if (p.nodes.empty()) return fail("empty");
+    if (p.nodes.size() < 2) return fail("trivial zero-length path");
     if (sources.count(p.nodes.front()) == 0) {
-      return Status::FailedPrecondition(where.str() +
-                                        "does not start at a source");
+      return fail("does not start at a source");
     }
     if (targets.count(p.nodes.back()) == 0) {
-      return Status::FailedPrecondition(where.str() +
-                                        "does not end at a target");
+      return fail("does not end at a target");
     }
-    if (!IsSimplePath(p.nodes)) {
-      return Status::FailedPrecondition(where.str() + "not simple");
-    }
+    if (!IsSimplePath(p.nodes)) return fail("not simple");
     PathLength recomputed = ComputePathLength(graph, p.nodes);
-    if (recomputed == kInfLength) {
-      return Status::FailedPrecondition(where.str() + "uses a missing arc");
-    }
+    if (recomputed == kInfLength) return fail("uses a missing arc");
     if (recomputed != p.length) {
-      std::ostringstream msg;
-      msg << where.str() << "cached length " << p.length
-          << " != recomputed " << recomputed;
-      return Status::FailedPrecondition(msg.str());
+      return fail("cached length " + std::to_string(p.length) +
+                  " != recomputed " + std::to_string(recomputed));
     }
     if (i > 0 && paths[i - 1].length > p.length) {
-      return Status::FailedPrecondition(where.str() +
-                                        "lengths not non-decreasing");
+      return fail("lengths not non-decreasing");
     }
     if (!seen.insert({p.nodes.begin(), p.nodes.end()}).second) {
-      return Status::FailedPrecondition(where.str() + "duplicate path");
+      return fail("duplicate path");
     }
   }
   return Status::Ok();

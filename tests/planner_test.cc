@@ -236,35 +236,46 @@ TEST(PlannerEngineTest, PerQueryAutoOverrideEngagesThePlanner) {
   EXPECT_EQ(chosen, 1u);
 }
 
-TEST(PlannerEngineTest, CategoryJoinWalksTheMeasurementLadder) {
-  // The paper's join shape: one 40-target category queried from distinct
-  // sources. The planner must (1) seed the reverse SPT via DA-SPT on
-  // first sight, (2) measure the resident DA-SPT path, (3) probe the
-  // best forward algorithm once, (4) commit to the measured winner.
-  KpjInstance instance = MakeInstance(/*landmarks=*/true);
-  KpjEngine engine(instance, AutoOptions(1, /*cache_mb=*/32));
-
-  Rng rng(29);
+/// `count` distinct node ids drawn from `seed`: one target category.
+std::vector<NodeId> MakeCategory(const KpjInstance& instance, size_t count,
+                                 uint64_t seed) {
+  Rng rng(seed);
   std::vector<NodeId> category;
-  for (uint64_t t : rng.SampleDistinct(40, instance.NumNodes())) {
+  for (uint64_t t : rng.SampleDistinct(count, instance.NumNodes())) {
     category.push_back(static_cast<NodeId>(t));
   }
-  // Sources must stay outside the category: a source inside it would be
-  // dropped from the canonical target set, which changes both the cache
-  // key and the recurrence fingerprint.
-  auto pick_source = [&](uint64_t seed) {
-    Rng source_rng(seed);
-    for (;;) {
-      NodeId s =
-          static_cast<NodeId>(source_rng.NextBounded(instance.NumNodes()));
-      if (std::find(category.begin(), category.end(), s) == category.end()) {
-        return s;
-      }
+  return category;
+}
+
+/// A source drawn from `seed` that lies outside `targets`: a source inside
+/// the set would be dropped from the canonical target set, which changes
+/// both the cache key and the recurrence fingerprint.
+NodeId SourceOutside(const KpjInstance& instance,
+                     const std::vector<NodeId>& targets, uint64_t seed) {
+  Rng source_rng(seed);
+  for (;;) {
+    NodeId s =
+        static_cast<NodeId>(source_rng.NextBounded(instance.NumNodes()));
+    if (std::find(targets.begin(), targets.end(), s) == targets.end()) {
+      return s;
     }
-  };
+  }
+}
+
+TEST(PlannerEngineTest, CategoryJoinWalksTheMeasurementLadder) {
+  // The paper's join shape without an oracle: one 40-target category
+  // queried from distinct sources. The planner must (1) seed the reverse
+  // SPT via DA-SPT on first sight, (2) measure the resident DA-SPT path,
+  // (3) probe the forward algorithm once, (4) commit to the measured
+  // winner. With an oracle attached DA-SPT is never a choice (see
+  // CategoryJoinWithOracleNeverPicksDaSpt).
+  KpjInstance instance = MakeInstance(/*landmarks=*/false);
+  KpjEngine engine(instance, AutoOptions(1, /*cache_mb=*/32));
+
+  const std::vector<NodeId> category = MakeCategory(instance, 40, 29);
   auto run = [&](uint64_t source_seed) {
     KpjQuery q;
-    q.sources = {pick_source(source_seed)};
+    q.sources = {SourceOutside(instance, category, source_seed)};
     q.targets = category;
     q.k = 6;
     Result<KpjResult> r = engine.Submit(q).get();
@@ -281,14 +292,65 @@ TEST(PlannerEngineTest, CategoryJoinWalksTheMeasurementLadder) {
       << committed;
 
   // k at or above large_k disqualifies the residency routing even with
-  // the tree resident: the query falls through to the cold profile rule.
+  // the tree resident: the query falls through to the cold rule.
   KpjQuery big;
-  big.sources = {pick_source(304)};
+  big.sources = {SourceOutside(instance, category, 304)};
   big.targets = category;
   big.k = engine.options().planner.large_k;
   Result<KpjResult> r = engine.Submit(big).get();
   ASSERT_TRUE(r.ok());
-  EXPECT_STREQ(r.value().planner_reason, "cold_profile_best");
+  EXPECT_STREQ(r.value().planner_reason, "no_oracle");
+}
+
+TEST(PlannerEngineTest, CategoryJoinWithOracleNeverPicksDaSpt) {
+  // With landmarks attached the forward solvers beat even a resident
+  // DA-SPT tree, so neither the category/repeat seed rules nor the
+  // residency rules may fire: a 40-target category queried from many
+  // sources and a small target set repeated must all run forward, with
+  // answers byte-identical to a fixed IterBound_I engine.
+  KpjInstance instance = MakeInstance(/*landmarks=*/true);
+  KpjEngine auto_engine(instance, AutoOptions(1, /*cache_mb=*/32));
+  KpjEngineOptions fixed_opt = AutoOptions(1, /*cache_mb=*/0);
+  fixed_opt.solver.algorithm = Algorithm::kIterBoundSptI;
+  KpjEngine fixed_engine(instance, fixed_opt);
+
+  const std::vector<NodeId> category = MakeCategory(instance, 40, 31);
+  const std::vector<NodeId> pair = MakeCategory(instance, 2, 37);
+  std::vector<KpjQuery> workload;
+  for (uint64_t i = 0; i < 8; ++i) {
+    KpjQuery q;
+    q.sources = {SourceOutside(instance, category, 500 + i)};
+    q.targets = category;
+    q.k = 6;
+    workload.push_back(std::move(q));
+  }
+  for (uint64_t i = 0; i < 3; ++i) {
+    KpjQuery q;
+    q.sources = {SourceOutside(instance, pair, 600 + i)};
+    q.targets = pair;
+    q.k = 6;
+    workload.push_back(std::move(q));
+  }
+
+  for (size_t i = 0; i < workload.size(); ++i) {
+    Result<KpjResult> chosen = auto_engine.Submit(workload[i]).get();
+    ASSERT_TRUE(chosen.ok()) << chosen.status().ToString();
+    const std::string reason = chosen.value().planner_reason;
+    EXPECT_NE(chosen.value().algorithm_used, Algorithm::kDaSpt)
+        << "query " << i << " (" << reason << ")";
+    EXPECT_NE(reason, "category_targets_seed_spt") << "query " << i;
+    EXPECT_NE(reason, "repeat_targets_seed_spt") << "query " << i;
+    EXPECT_NE(reason.rfind("resident_", 0), 0u)
+        << "query " << i << " (" << reason << ")";
+    EXPECT_EQ(CanonicalPaths(chosen),
+              CanonicalPaths(fixed_engine.Submit(workload[i]).get()))
+        << "query " << i << " chosen "
+        << AlgorithmName(chosen.value().algorithm_used) << " (" << reason
+        << ")";
+  }
+  EXPECT_EQ(auto_engine.MetricsSnapshot()
+                .planner_choice[PlannerIndex(Algorithm::kDaSpt)],
+            0u);
 }
 
 TEST(PlannerEngineTest, AutoAnswersAreByteIdenticalToTheChosenSolver) {
@@ -299,8 +361,8 @@ TEST(PlannerEngineTest, AutoAnswersAreByteIdenticalToTheChosenSolver) {
   KpjEngine auto_engine(instance, AutoOptions(1, /*cache_mb=*/32));
   KpjEngine fixed_engine(instance, AutoOptions(1, /*cache_mb=*/0));
 
-  // Mixed workload: ad-hoc queries plus a recurring 36-target category so
-  // every rung of the decision ladder fires at least once.
+  // Mixed workload: ad-hoc queries plus a recurring 36-target category, so
+  // category-sized and recurring target sets pass through the planner too.
   std::vector<KpjQuery> workload;
   Rng rng(59);
   std::vector<NodeId> category;

@@ -116,6 +116,26 @@ TEST(ValidateStructureTest, RejectsNonSimple) {
   EXPECT_FALSE(ValidateResultStructure(g, q, paths).ok());
 }
 
+TEST(ValidateStructureTest, FailureMessagesNameThePathAndTheCheck) {
+  GraphBuilder b(3);
+  b.AddEdge(0, 1, 1);
+  b.AddEdge(1, 0, 1);
+  b.AddEdge(0, 2, 1);
+  Graph g = b.Build();
+  KpjQuery q;
+  q.sources = {0};
+  q.targets = {2};
+  q.k = 5;
+  std::vector<Path> non_simple = {{{0, 2}, 1}, {{0, 1, 0, 2}, 3}};
+  Status s = ValidateResultStructure(g, q, non_simple);
+  EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(s.message(), "path 1 (0 -> 1 -> 0 -> 2 (len 3)): not simple");
+
+  std::vector<Path> bad_length = {{{0, 2}, 7}};
+  EXPECT_EQ(ValidateResultStructure(g, q, bad_length).message(),
+            "path 0 (0 -> 2 (len 7)): cached length 7 != recomputed 1");
+}
+
 TEST(ValidateStructureTest, RejectsWrongEndpoints) {
   Graph g = Diamond();
   std::vector<Path> starts_wrong = {{{1, 3}, 1}};
