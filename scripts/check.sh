@@ -10,11 +10,11 @@
 #                                    # much faster than --asan)
 #   scripts/check.sh --tsan          # opt-in ThreadSanitizer run of the
 #                                    # concurrency suite (engine, pool,
-#                                    # parallel, intra, trace,
+#                                    # parallel, trace,
 #                                    # observability, cache reuse, api,
 #                                    # socket, server, planner) only
-#   scripts/check.sh --bench-gate    # opt-in perf gate: re-run bench_cache,
-#                                    # bench_intra, and bench_oracle and
+#   scripts/check.sh --bench-gate    # opt-in perf gate: re-run bench_cache
+#                                    # and bench_oracle and
 #                                    # diff against the checked-in
 #                                    # BENCH_*.json baselines with
 #                                    # tools/compare_bench.py (>10% fails);
@@ -69,7 +69,7 @@ elif [[ "${1:-}" == "--tsan" || "${KPJ_CHECK_TSAN:-0}" == "1" ]]; then
   # hub_label_index_test is in the list for its multi-threaded
   # byte-identical-build property, not for raw coverage; planner_test for
   # its multi-worker auto engines sharing the planner mutex.
-  ctest_flags+=("-R" "engine_test|thread_pool_test|parallel_test|intra_test|trace_test|observability_test|cache_reuse_test|hub_label_index_test|api_test|socket_test|server_test|planner_test")
+  ctest_flags+=("-R" "engine_test|thread_pool_test|parallel_test|trace_test|observability_test|cache_reuse_test|hub_label_index_test|api_test|socket_test|server_test|planner_test")
 elif [[ "${1:-}" == "--bench-gate" || "${KPJ_CHECK_BENCH_GATE:-0}" == "1" ]]; then
   mode=bench-gate
 fi
@@ -100,7 +100,7 @@ cli="$build_dir/tools/kpj_cli"
 
 "$cli" generate --nodes 2000 --seed 3 --out "$smoke_dir/g.bin" > /dev/null
 "$cli" query --graph "$smoke_dir/g.bin" --source 0 --targets 100,200,300 \
-  --k 5 --stats --slow-query-ms 1000 --intra-threads 2 \
+  --k 5 --stats --slow-query-ms 1000 \
   --trace-out "$smoke_dir/query_trace.json" \
   --metrics-out "$smoke_dir/query_metrics.json" > /dev/null
 printf '0 3 100 200\n5 2 300\n' > "$smoke_dir/queries.txt"
@@ -307,18 +307,15 @@ trap - EXIT
 grep -q "kpjd drained cleanly" "$smoke_dir/kpjd_v4.log"
 echo "mapped service smoke OK"
 
-# --- Opt-in bench gate: re-run the cross-query cache and intra-query
-# parallelism benchmarks and fail if any timing or speedup leaf regressed
-# >10% against the checked-in baselines.
+# --- Opt-in bench gate: re-run the cross-query cache and oracle
+# benchmarks and fail if any timing or speedup leaf regressed >10%
+# against the checked-in baselines.
 if [[ "$mode" == "bench-gate" ]]; then
   gate_dir="$build_dir/check-bench"
   rm -rf "$gate_dir"
   mkdir -p "$gate_dir"
   KPJ_BENCH_JSON="$gate_dir/BENCH_cache.json" "$build_dir/bench/bench_cache"
   python3 tools/compare_bench.py BENCH_cache.json "$gate_dir/BENCH_cache.json" \
-    --threshold 0.10
-  KPJ_BENCH_JSON="$gate_dir/BENCH_intra.json" "$build_dir/bench/bench_intra"
-  python3 tools/compare_bench.py BENCH_intra.json "$gate_dir/BENCH_intra.json" \
     --threshold 0.10
   KPJ_BENCH_JSON="$gate_dir/BENCH_oracle.json" "$build_dir/bench/bench_oracle"
   python3 tools/compare_bench.py BENCH_oracle.json "$gate_dir/BENCH_oracle.json" \

@@ -95,7 +95,6 @@ KpjEngineOptions EngineConfig::ToEngineOptions() const {
   options.default_deadline_ms = deadline_ms;
   options.slow_query_ms = slow_query_ms;
   options.cache_mb = cache_mb;
-  options.intra_threads = intra_threads;
   options.solver.algorithm = algorithm;
   options.solver.alpha = alpha;
   options.solver.max_active_landmarks = max_active_landmarks;

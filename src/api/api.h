@@ -68,8 +68,6 @@ Result<Algorithm> ParseAlgorithm(const std::string& name);
 struct EngineConfig {
   /// Worker threads; 0 picks the hardware concurrency.
   unsigned workers = 0;
-  /// Intra-query deviation lanes (1 = sequential, 0 = auto-split).
-  unsigned intra_threads = 1;
   /// Cross-query reuse cache budget in MiB; 0 disables. The CLI and the
   /// daemon default this to 64 via the flag parser; the struct default
   /// matches the core engine (off) so migrated tests keep cold-run

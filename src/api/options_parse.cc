@@ -1,6 +1,5 @@
 #include "api/options_parse.h"
 
-#include "util/concurrency.h"
 #include "util/string_util.h"
 
 namespace kpj::api {
@@ -79,7 +78,7 @@ Result<std::vector<NodeId>> ParseNodeList(const std::string& text) {
   std::vector<NodeId> out;
   for (std::string_view part : SplitChar(text, ',')) {
     auto v = ParseInt(part);
-    if (!v || *v < 0) {
+    if (!v || !FitsNodeId(*v)) {
       return Status::InvalidArgument("bad node id '" + std::string(part) +
                                      "'");
     }
@@ -112,18 +111,6 @@ Result<unsigned> ParseWorkersFlag(const ParsedArgs& args, unsigned def) {
                                    " must be >= 1");
   }
   return static_cast<unsigned>(workers.value());
-}
-
-Result<unsigned> ParseIntraThreadsFlag(const ParsedArgs& args) {
-  Result<int64_t> intra = args.GetInt("intra-threads", 1);
-  if (!intra.ok()) return intra.status();
-  if (intra.value() < 0) {
-    return Status::InvalidArgument("--intra-threads must be >= 0");
-  }
-  unsigned lanes = static_cast<unsigned>(intra.value());
-  // Explicit lane counts share the advisory hardware clamp with --workers.
-  if (lanes > 1) lanes = EffectiveWorkers(lanes);
-  return lanes;
 }
 
 Result<size_t> ParseCacheFlag(const ParsedArgs& args, size_t def) {
@@ -162,10 +149,6 @@ Result<EngineConfig> ParseEngineConfig(const ParsedArgs& args,
   Result<unsigned> workers = ParseWorkersFlag(args, defaults.workers);
   if (!workers.ok()) return workers.status();
   config.workers = workers.value();
-
-  Result<unsigned> intra = ParseIntraThreadsFlag(args);
-  if (!intra.ok()) return intra.status();
-  config.intra_threads = intra.value();
 
   Result<size_t> cache_mb = ParseCacheFlag(args, defaults.cache_mb);
   if (!cache_mb.ok()) return cache_mb.status();

@@ -50,7 +50,6 @@ struct EngineConfigDefaults {
 /// Reads the shared engine-option vocabulary — one validation path and one
 /// error format for every tool:
 ///   --workers N        worker pool size (>= 1; --threads is an alias)
-///   --intra-threads N  per-query lanes (>= 0; 0 = auto-split)
 ///   --cache-mb MB | --no-cache   (mutually exclusive)
 ///   --oracle alt|hublabel
 ///   --deadline-ms MS   default per-query deadline (>= 0; 0 = unbounded)

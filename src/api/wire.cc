@@ -33,7 +33,7 @@ Result<std::vector<NodeId>> GetNodeArray(const JsonValue& object,
   std::vector<NodeId> nodes;
   nodes.reserve(field->items().size());
   for (const JsonValue& item : field->items()) {
-    if (!item.is_int() || item.int_value() < 0) {
+    if (!item.is_int() || !FitsNodeId(item.int_value())) {
       return Status::InvalidArgument("field '" + std::string(key) +
                                      "' must be an array of node ids");
     }

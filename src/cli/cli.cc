@@ -119,7 +119,6 @@ void PrintHelp(std::ostream& out) {
          " [--landmarks FILE] [--alpha 1.1]\n"
          "                    [--oracle alt|hublabel] [--mmap [--trusted]]\n"
          "                    [--reorder STRAT] [--stats] [--threads N]\n"
-         "                    [--intra-threads N]\n"
          "                    [--deadline-ms MS] [--slow-query-ms MS]\n"
          "                    [--cache-mb MB | --no-cache]\n"
          "                    [--metrics-out FILE|-]"
@@ -128,8 +127,7 @@ void PrintHelp(std::ostream& out) {
          "  kpj_cli batch     --graph FILE --queries FILE"
          " [--algorithm NAME|auto] [--landmarks FILE]\n"
          "                    [--oracle alt|hublabel] [--mmap [--trusted]]\n"
-         "                    [--threads N] [--intra-threads N]"
-         " [--reorder STRAT]\n"
+         "                    [--threads N] [--reorder STRAT]\n"
          "                    [--deadline-ms MS] [--slow-query-ms MS]\n"
          "                    [--cache-mb MB | --no-cache]\n"
          "                    [--metrics-out FILE|-]"
@@ -139,10 +137,7 @@ void PrintHelp(std::ostream& out) {
          "Graph files: .gr = DIMACS text, otherwise compact binary.\n"
          "Queries run on the concurrent engine: --threads sets the worker\n"
          "pool, --deadline-ms bounds each query (partial results are\n"
-         "flagged, not errors). --intra-threads fans each query's\n"
-         "deviation searches across the pool (1 = sequential, 0 = auto-\n"
-         "split workers between in-flight queries); answers are\n"
-         "byte-identical at any setting.\n"
+         "flagged, not errors).\n"
          "Observability: --metrics-out dumps execution metrics as JSON\n"
          "(default) or Prometheus text (--metrics-format=prom);\n"
          "--metrics-json FILE is a legacy alias for --metrics-out with the\n"
@@ -630,7 +625,7 @@ int CmdQuery(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
     target_nodes = std::move(targets).value();
   }
   Result<int64_t> k = args.GetInt("k", 10);
-  if (!k.ok() || k.value() <= 0) {
+  if (!k.ok() || !FitsPathCount(k.value())) {
     return Fail(err, Status::InvalidArgument("--k must be positive"));
   }
 
@@ -726,7 +721,7 @@ int CmdBatch(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
     bq.line_no = line_no;
     auto src = ParseInt(fields[0]);
     auto kval = ParseInt(fields[1]);
-    if (!src || !kval || *src < 0 || *kval <= 0) {
+    if (!src || !kval || !FitsNodeId(*src) || !FitsPathCount(*kval)) {
       return Fail(err, Status::InvalidArgument(
                            "query line " + std::to_string(line_no) +
                            ": bad source/k"));
@@ -735,7 +730,7 @@ int CmdBatch(const ParsedArgs& args, std::ostream& out, std::ostream& err) {
     bq.query.k = static_cast<uint32_t>(*kval);
     for (size_t i = 2; i < fields.size(); ++i) {
       auto t = ParseInt(fields[i]);
-      if (!t || *t < 0) {
+      if (!t || !FitsNodeId(*t)) {
         return Fail(err, Status::InvalidArgument(
                              "query line " + std::to_string(line_no) +
                              ": bad target"));

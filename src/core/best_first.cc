@@ -110,11 +110,11 @@ bool BestFirstFramework::InitializeQuery(const PreparedQuery& query,
   return found;
 }
 
-double BestFirstFramework::CompLB(uint32_t v, EpochSet* forbidden,
-                                  QueryStats* stats) {
+double BestFirstFramework::CompLB(uint32_t v, QueryStats* stats) {
   const PseudoTree::Vertex& vx = tree_.vertex(v);
-  forbidden->ClearAll();
-  tree_.MarkPrefix(v, forbidden);
+  search_.ClearForbidden();
+  tree_.MarkPrefix(v, &search_.forbidden());
+  const EpochSet& forbidden = search_.forbidden();
 
   double lb = kInfinity;
   // The zero-length suffix plays the role of the virtual edge (u, t).
@@ -123,7 +123,7 @@ double BestFirstFramework::CompLB(uint32_t v, EpochSet* forbidden,
   }
   for (const OutEdge& e : graph_.OutEdges(vx.node)) {
     ++stats->edges_relaxed;
-    if (forbidden->Contains(e.to)) continue;
+    if (forbidden.Contains(e.to)) continue;
     bool banned = false;
     for (NodeId b : vx.banned) {
       if (b == e.to) {
@@ -145,42 +145,21 @@ void BestFirstFramework::ExpandDivision(const DivisionResult& division,
                                         double chosen_length,
                                         SubspaceQueue& queue,
                                         QueryStats* stats) {
-  // Canonical slot order — revised vertex, then created vertices in
-  // creation order — matches sequential execution; the merge below
-  // preserves it regardless of which lane computed which slot.
-  std::vector<uint32_t> slots;
-  slots.reserve(1 + division.created.size());
-  slots.push_back(division.revised);
-  slots.insert(slots.end(), division.created.begin(),
-               division.created.end());
-
-  struct Slot {
-    double lb = kInfinity;
-    QueryStats stats;
-  };
-  std::vector<Slot> results(slots.size());
-  RunDeviationRound(
-      intra_, slots.size(), &stats->algo, [&](size_t i, unsigned lane) {
-        // Stolen tasks poll the token too: a dead query must not keep
-        // computing bounds (the skipped lb only matters when cancelled,
-        // where the main loop exits before using it).
-        if (cancel_ != nullptr && cancel_->ShouldStop()) return;
-        EpochSet* forbidden =
-            lane == 0 ? &search_.forbidden() : lane_forbidden_[lane - 1].get();
-        results[i].lb = CompLB(slots[i], forbidden, &results[i].stats);
-      });
-  for (size_t i = 0; i < results.size(); ++i) {
-    stats->Accumulate(results[i].stats);
+  // Revised vertex first, then created vertices in creation order.
+  for (size_t i = 0; i <= division.created.size(); ++i) {
+    if (cancel_ != nullptr && cancel_->ShouldStop()) break;
+    uint32_t v = i == 0 ? division.revised : division.created[i - 1];
+    double lb = CompLB(v, stats);
     ++stats->subspaces_created;
-    if (results[i].lb == kInfinity) {
+    if (lb == kInfinity) {
       ++stats->algo.candidates_pruned;
       continue;  // Provably empty subspace.
     }
     SubspaceEntry fresh;
-    fresh.vertex = slots[i];
+    fresh.vertex = v;
     // Alg. 2 line 9: the chosen path's length bounds every path in the
     // subspaces it was divided into.
-    fresh.key = std::max(results[i].lb, chosen_length);
+    fresh.key = std::max(lb, chosen_length);
     queue.Push(std::move(fresh));
   }
 }
@@ -188,16 +167,8 @@ void BestFirstFramework::ExpandDivision(const DivisionResult& division,
 KpjResult BestFirstFramework::Run(const PreparedQuery& query) {
   KpjResult res;
   cancel_ = query.cancel;
-  intra_ = query.intra;
   tree_.Reset(query.source);
   search_.SetTargets(query.targets);
-  // One forbidden-set scratch per helper lane, provisioned up front so
-  // rounds never allocate into shared vectors. CompLB only depends on the
-  // set's *contents*, so lane scratch is byte-identical to the main one.
-  while (lane_forbidden_.size() + 1 < IntraLanes(intra_)) {
-    lane_forbidden_.push_back(
-        std::make_unique<EpochSet>(graph_.NumNodes()));
-  }
 
   SubspaceEntry initial;
   if (!InitializeQuery(query, &initial, &res.stats)) {

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "core/constraint.h"
-#include "core/intra.h"
 #include "core/kpj_query.h"
 #include "core/pseudo_tree.h"
 #include "core/solver.h"
@@ -24,11 +23,6 @@ namespace kpj {
 /// CompLB (Alg. 3) from the active heuristic, and — when
 /// `iterative_bounding` is on — replaces CompSP by TestLB with a
 /// geometrically growing τ (Alg. 4 line 9, Alg. 5).
-///
-/// The CompLB calls of one division are independent reads of the pseudo
-/// tree and the per-query heuristic, so with an intra-query context each
-/// division runs as one parallel deviation round (per-lane forbidden
-/// sets, deterministic slot-order merge into the queue).
 ///
 /// Derived classes choose the per-query heuristic and the initial shortest
 /// path via InitializeQuery.
@@ -58,9 +52,7 @@ class BestFirstFramework : public KpjSolver {
   ConstrainedSearch search_;
   PseudoTree tree_;
   ZeroHeuristic zero_;
-  /// Per-query heuristic; set by InitializeQuery. Estimate() is const over
-  /// state the main loop does not mutate mid-round, so deviation lanes
-  /// share it without synchronization.
+  /// Per-query heuristic; set by InitializeQuery.
   const Heuristic* heuristic_ = nullptr;
   /// Storage for the base class's per-query oracle set bound (Eq. (2)).
   std::unique_ptr<Heuristic> oracle_bound_;
@@ -70,21 +62,16 @@ class BestFirstFramework : public KpjSolver {
 
  private:
   /// Alg. 3: lightweight subspace lower bound from the first deviation
-  /// edge, using `forbidden` as prefix-marking scratch; +infinity means
-  /// the subspace is provably empty.
-  double CompLB(uint32_t v, EpochSet* forbidden, QueryStats* stats);
+  /// edge, using search_.forbidden() as prefix-marking scratch; +infinity
+  /// means the subspace is provably empty.
+  double CompLB(uint32_t v, QueryStats* stats);
 
-  /// One deviation round of CompLB calls over the division's subspaces
-  /// (revised first, created in order), merged into `queue` in that order.
+  /// Pushes a CompLB entry for each of the division's subspaces (revised
+  /// first, created in order).
   void ExpandDivision(const DivisionResult& division, double chosen_length,
                       SubspaceQueue& queue, QueryStats* stats);
 
   const bool iterative_bounding_;
-  /// Per-query intra-parallelism context (from PreparedQuery); set by Run.
-  const IntraQueryContext* intra_ = nullptr;
-  /// Helper-lane forbidden-set scratch (lane L >= 1 uses
-  /// lane_forbidden_[L-1]; lane 0 uses search_.forbidden()).
-  std::vector<std::unique_ptr<EpochSet>> lane_forbidden_;
 };
 
 /// BestFirst (paper Alg. 2 + Alg. 3): best-first subspace pruning with

@@ -11,93 +11,50 @@ DaSolver::DaSolver(const Graph& graph, const Graph& reverse,
   (void)options;   // ... and no landmarks / alpha.
 }
 
-bool DaSolver::ComputeCandidate(uint32_t v, ConstrainedSearch& cs,
-                                SubspaceEntry* entry, QueryStats* stats) {
+void DaSolver::PushCandidate(uint32_t v, SubspaceQueue& queue,
+                             QueryStats* stats) {
   const PseudoTree::Vertex& vx = tree_.vertex(v);
-  cs.ClearForbidden();
-  tree_.MarkPrefix(v, &cs.forbidden());
+  search_.ClearForbidden();
+  tree_.MarkPrefix(v, &search_.forbidden());
 
   SubspaceSearchRequest request;
   request.start = vx.node;
   request.prefix_length = vx.prefix_length;
   request.banned_first_hops = vx.banned;
   request.start_counts_as_destination =
-      !vx.finish_banned && cs.target_set().Contains(vx.node);
+      !vx.finish_banned && search_.target_set().Contains(vx.node);
   request.cancel = cancel_;
 
   ++stats->shortest_path_computations;
   ++stats->subspaces_created;
-  SubspaceSearchResult result = cs.Run(request, zero_, stats);
+  SubspaceSearchResult result = search_.Run(request, zero_, stats);
   if (result.outcome != SearchOutcome::kFound) {
     ++stats->algo.candidates_pruned;
-    return false;
+    return;
   }
 
   ++stats->algo.candidates_generated;
-  entry->vertex = v;
-  entry->has_path = true;
-  entry->suffix_length = result.suffix_length;
-  entry->key = static_cast<double>(vx.prefix_length + result.suffix_length);
-  // Entries store nodes strictly after the vertex's node.
-  entry->suffix.assign(result.suffix.begin() + 1, result.suffix.end());
-  return true;
-}
-
-void DaSolver::PushCandidate(uint32_t v, SubspaceQueue& queue,
-                             QueryStats* stats) {
   SubspaceEntry entry;
-  if (ComputeCandidate(v, search_, &entry, stats)) {
-    queue.Push(std::move(entry));
-  }
+  entry.vertex = v;
+  entry.has_path = true;
+  entry.suffix_length = result.suffix_length;
+  entry.key = static_cast<double>(vx.prefix_length + result.suffix_length);
+  // Entries store nodes strictly after the vertex's node.
+  entry.suffix.assign(result.suffix.begin() + 1, result.suffix.end());
+  queue.Push(std::move(entry));
 }
 
 void DaSolver::ExpandDivision(const DivisionResult& division,
                               SubspaceQueue& queue, QueryStats* stats) {
-  // Canonical slot order — revised vertex, then created vertices in
-  // creation order — matches sequential execution exactly; everything
-  // below preserves it regardless of which lane computes which slot.
-  std::vector<uint32_t> slots;
-  slots.reserve(1 + division.created.size());
-  slots.push_back(division.revised);
-  slots.insert(slots.end(), division.created.begin(),
-               division.created.end());
-
-  struct Slot {
-    SubspaceEntry entry;
-    QueryStats stats;
-    bool found = false;
-  };
-  std::vector<Slot> results(slots.size());
-  RunDeviationRound(
-      intra_, slots.size(), &stats->algo, [&](size_t i, unsigned lane) {
-        ConstrainedSearch& cs =
-            lane == 0 ? search_ : *lane_search_[lane - 1];
-        results[i].found =
-            ComputeCandidate(slots[i], cs, &results[i].entry,
-                             &results[i].stats);
-      });
-  for (Slot& r : results) {
-    stats->Accumulate(r.stats);
-    if (r.found) queue.Push(std::move(r.entry));
-  }
+  PushCandidate(division.revised, queue, stats);
+  for (uint32_t v : division.created) PushCandidate(v, queue, stats);
 }
 
 KpjResult DaSolver::Run(const PreparedQuery& query) {
   KpjResult res;
   cancel_ = query.cancel;
-  intra_ = query.intra;
   tree_.Reset(query.source);
   search_.SetTargets(query.targets);
-  // Provision one extra search workspace per helper lane up front: lanes
-  // must never allocate into shared vectors mid-round. Each workspace is a
-  // pure function of (graph, targets), so every lane computes candidates
-  // byte-identical to the main workspace.
-  for (unsigned lane = 1; lane < IntraLanes(intra_); ++lane) {
-    if (lane_search_.size() < lane) {
-      lane_search_.push_back(std::make_unique<ConstrainedSearch>(graph_));
-    }
-    lane_search_[lane - 1]->SetTargets(query.targets);
-  }
 
   SubspaceQueue queue;
   PushCandidate(tree_.root(), queue, &res.stats);

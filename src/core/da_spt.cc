@@ -19,11 +19,11 @@ DaSptSolver::DaSptSolver(const Graph& graph, const Graph& reverse,
   (void)options;  // DA-SPT uses neither landmarks nor alpha.
 }
 
-bool DaSptSolver::TryConcatenation(uint32_t v, ConstrainedSearch& cs,
-                                   SubspaceEntry* entry, QueryStats* stats) {
+bool DaSptSolver::TryConcatenation(uint32_t v, SubspaceEntry* entry,
+                                   QueryStats* stats) {
   const PseudoTree::Vertex& vx = tree_.vertex(v);
-  // Prefix nodes are already marked in cs.forbidden() by the caller.
-  const EpochSet& forbidden = cs.forbidden();
+  // Prefix nodes are already marked in search_.forbidden() by the caller.
+  const EpochSet& forbidden = search_.forbidden();
 
   // Find the deviation edge minimizing weight + exact SPT distance.
   NodeId best_hop = kInvalidNode;
@@ -78,18 +78,22 @@ bool DaSptSolver::TryConcatenation(uint32_t v, ConstrainedSearch& cs,
   return true;
 }
 
-bool DaSptSolver::ComputeCandidate(uint32_t v, ConstrainedSearch& cs,
-                                   SubspaceEntry* entry, QueryStats* stats) {
+void DaSptSolver::PushCandidate(uint32_t v, SubspaceQueue& queue,
+                                QueryStats* stats) {
   const PseudoTree::Vertex& vx = tree_.vertex(v);
-  cs.ClearForbidden();
-  tree_.MarkPrefix(v, &cs.forbidden());
+  search_.ClearForbidden();
+  tree_.MarkPrefix(v, &search_.forbidden());
   ++stats->subspaces_created;
 
   // The zero-length suffix (prefix already ends at a target and finishing
   // is allowed) beats every deviation, so check it first.
   bool zero_suffix_ok =
-      !vx.finish_banned && cs.target_set().Contains(vx.node);
-  if (!zero_suffix_ok && TryConcatenation(v, cs, entry, stats)) return true;
+      !vx.finish_banned && search_.target_set().Contains(vx.node);
+  SubspaceEntry entry;
+  if (!zero_suffix_ok && TryConcatenation(v, &entry, stats)) {
+    queue.Push(std::move(entry));
+    return;
+  }
 
   SubspaceSearchRequest request;
   request.start = vx.node;
@@ -100,69 +104,32 @@ bool DaSptSolver::ComputeCandidate(uint32_t v, ConstrainedSearch& cs,
 
   FullSptBound bound(full_spt_.get());
   ++stats->shortest_path_computations;
-  SubspaceSearchResult result = cs.Run(request, bound, stats);
+  SubspaceSearchResult result = search_.Run(request, bound, stats);
   if (result.outcome != SearchOutcome::kFound) {
     ++stats->algo.candidates_pruned;
-    return false;
+    return;
   }
 
   ++stats->algo.candidates_generated;
-  entry->vertex = v;
-  entry->has_path = true;
-  entry->suffix_length = result.suffix_length;
-  entry->key = static_cast<double>(vx.prefix_length + result.suffix_length);
-  entry->suffix.assign(result.suffix.begin() + 1, result.suffix.end());
-  return true;
-}
-
-void DaSptSolver::PushCandidate(uint32_t v, SubspaceQueue& queue,
-                                QueryStats* stats) {
-  SubspaceEntry entry;
-  if (ComputeCandidate(v, search_, &entry, stats)) {
-    queue.Push(std::move(entry));
-  }
+  entry.vertex = v;
+  entry.has_path = true;
+  entry.suffix_length = result.suffix_length;
+  entry.key = static_cast<double>(vx.prefix_length + result.suffix_length);
+  entry.suffix.assign(result.suffix.begin() + 1, result.suffix.end());
+  queue.Push(std::move(entry));
 }
 
 void DaSptSolver::ExpandDivision(const DivisionResult& division,
                                  SubspaceQueue& queue, QueryStats* stats) {
-  std::vector<uint32_t> slots;
-  slots.reserve(1 + division.created.size());
-  slots.push_back(division.revised);
-  slots.insert(slots.end(), division.created.begin(),
-               division.created.end());
-
-  struct Slot {
-    SubspaceEntry entry;
-    QueryStats stats;
-    bool found = false;
-  };
-  std::vector<Slot> results(slots.size());
-  RunDeviationRound(
-      intra_, slots.size(), &stats->algo, [&](size_t i, unsigned lane) {
-        ConstrainedSearch& cs =
-            lane == 0 ? search_ : *lane_search_[lane - 1];
-        results[i].found =
-            ComputeCandidate(slots[i], cs, &results[i].entry,
-                             &results[i].stats);
-      });
-  for (Slot& r : results) {
-    stats->Accumulate(r.stats);
-    if (r.found) queue.Push(std::move(r.entry));
-  }
+  PushCandidate(division.revised, queue, stats);
+  for (uint32_t v : division.created) PushCandidate(v, queue, stats);
 }
 
 KpjResult DaSptSolver::Run(const PreparedQuery& query) {
   KpjResult res;
   cancel_ = query.cancel;
-  intra_ = query.intra;
   tree_.Reset(query.source);
   search_.SetTargets(query.targets);
-  for (unsigned lane = 1; lane < IntraLanes(intra_); ++lane) {
-    if (lane_search_.size() < lane) {
-      lane_search_.push_back(std::make_unique<ConstrainedSearch>(graph_));
-    }
-    lane_search_[lane - 1]->SetTargets(query.targets);
-  }
 
   // Build the full SPT toward the (virtual) destination: one multi-source
   // Dijkstra on the reverse graph over all of V_T. This is DA-SPT's

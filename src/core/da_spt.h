@@ -6,7 +6,6 @@
 
 #include "core/constraint.h"
 #include "core/heuristics.h"
-#include "core/intra.h"
 #include "core/kpj_query.h"
 #include "core/pseudo_tree.h"
 #include "core/solver.h"
@@ -25,10 +24,6 @@ namespace kpj {
 ///      SPT path is simple, it is the candidate, found in O(|path|);
 ///   2. otherwise a goal-directed search guided by the exact SPT
 ///      distances (Gao's iterative refinement of the same idea).
-///
-/// A division's candidate computations only read the shared SPT (immutable
-/// for the whole query), so with an intra-query context they run as one
-/// parallel deviation round with a deterministic slot-order merge.
 class DaSptSolver final : public KpjSolver {
  public:
   DaSptSolver(const Graph& graph, const Graph& reverse,
@@ -37,22 +32,17 @@ class DaSptSolver final : public KpjSolver {
   KpjResult Run(const PreparedQuery& query) override;
 
  private:
-  /// Computes the candidate path of vertex `v` with workspace `cs`; fills
-  /// `entry` and returns true if one exists.
-  bool ComputeCandidate(uint32_t v, ConstrainedSearch& cs,
-                        SubspaceEntry* entry, QueryStats* stats);
-
-  /// ComputeCandidate on the solver's main workspace, pushing into `queue`.
+  /// Computes the candidate path of vertex `v` and pushes it into `queue`
+  /// if one exists.
   void PushCandidate(uint32_t v, SubspaceQueue& queue, QueryStats* stats);
 
-  /// One deviation round over the division's subspaces; see DaSolver.
+  /// Pushes the candidates of the division's subspaces; see DaSolver.
   void ExpandDivision(const DivisionResult& division, SubspaceQueue& queue,
                       QueryStats* stats);
 
   /// Pascoal fast path; returns true and fills `entry` if it applied.
-  /// Expects the subspace prefix already marked in `cs.forbidden()`.
-  bool TryConcatenation(uint32_t v, ConstrainedSearch& cs,
-                        SubspaceEntry* entry, QueryStats* stats);
+  /// Expects the subspace prefix already marked in `search_.forbidden()`.
+  bool TryConcatenation(uint32_t v, SubspaceEntry* entry, QueryStats* stats);
 
   const Graph& graph_;
   const Graph& reverse_;
@@ -62,14 +52,10 @@ class DaSptSolver final : public KpjSolver {
   /// Full SPT toward the query's targets; rebuilt per query or adopted
   /// from the cross-query cache (the SPT is a pure function of the target
   /// set, so sharing it is byte-identical to recomputing). Read-only for
-  /// the rest of the query, hence safely shared by all deviation lanes.
+  /// the rest of the query.
   std::shared_ptr<const SptResult> full_spt_;
   /// Per-query cancellation token (from PreparedQuery); set by Run.
   const CancellationToken* cancel_ = nullptr;
-  /// Per-query intra-parallelism context (from PreparedQuery); set by Run.
-  const IntraQueryContext* intra_ = nullptr;
-  /// Helper-lane search workspaces (lane L >= 1 uses lane_search_[L-1]).
-  std::vector<std::unique_ptr<ConstrainedSearch>> lane_search_;
 };
 
 }  // namespace kpj

@@ -117,28 +117,6 @@ Result<KpjResult> KpjEngine::RunOne(const KpjQuery& query, double deadline_ms,
   cache_ctx.allow_sptp_insert =
       QueryPlanner::SptInsertBeneficial(run_options.algorithm);
 
-  // Resolve this query's intra-parallelism fan-out against the current
-  // load *after* counting ourselves in, so a lone query sees active == 1
-  // and claims the whole pool under the auto-split policy.
-  unsigned active =
-      active_queries_.fetch_add(1, std::memory_order_relaxed) + 1;
-  unsigned intra_lanes = options_.intra_threads;
-  if (intra_lanes == 0) {
-    intra_lanes = std::max(1u, pool_.num_workers() / std::max(1u, active));
-  } else if (options_.clamp_to_hardware) {
-    intra_lanes = EffectiveWorkers(intra_lanes);
-  }
-  IntraQueryContext intra_ctx;
-  const IntraQueryContext* intra = nullptr;
-  if (intra_lanes > 1) {
-    intra_ctx.pool = &pool_;
-    intra_ctx.threads = intra_lanes;
-    intra_ctx.steals = &metrics_.intra_steals;
-    intra_ctx.parallel_rounds = &metrics_.intra_parallel_rounds;
-    intra_ctx.fanout = &metrics_.intra_fanout;
-    intra = &intra_ctx;
-  }
-
   Timer timer;
   // Result<T> has no default constructor; the placeholder is overwritten.
   Result<KpjResult> result = Status::FailedPrecondition("query not executed");
@@ -150,9 +128,8 @@ Result<KpjResult> KpjEngine::RunOne(const KpjQuery& query, double deadline_ms,
     KPJ_TRACE_SPAN("engine.query");
     result = RunKpjOnInstance(instance_, query, run_options,
                               SolverFor(worker, run_options.algorithm),
-                              cancel, cache, intra);
+                              cancel, cache);
   }
-  active_queries_.fetch_sub(1, std::memory_order_relaxed);
   double elapsed_ms = timer.ElapsedMillis();
   metrics_.latency.Record(elapsed_ms);
 
@@ -283,11 +260,6 @@ EngineMetricsSnapshot KpjEngine::MetricsSnapshot() const {
   snap.latency_p90_ms = metrics_.latency.Percentile(90.0);
   snap.latency_p99_ms = metrics_.latency.Percentile(99.0);
   snap.algo = metrics_.algo.Snapshot();
-  snap.intra_steals = metrics_.intra_steals.value();
-  snap.intra_parallel_rounds = metrics_.intra_parallel_rounds.value();
-  snap.intra_fanout_count = metrics_.intra_fanout.count();
-  snap.intra_fanout_mean = metrics_.intra_fanout.Mean();
-  snap.intra_fanout_max = metrics_.intra_fanout.max_ms();
   for (size_t a = 0; a < kNumPlannableAlgorithms; ++a) {
     snap.planner_choice[a] = metrics_.planner_choice[a].value();
   }
@@ -338,16 +310,7 @@ std::string KpjEngine::MetricsJson() const {
       << "  \"algo_bound_cache_misses\": " << s.algo.bound_cache_misses
       << ",\n"
       << "  \"algo_spt_cache_insert_skips\": "
-      << s.algo.spt_cache_insert_skips << ",\n"
-      << "  \"algo_intra_rounds\": " << s.algo.intra_rounds << ",\n"
-      << "  \"algo_intra_tasks\": " << s.algo.intra_tasks << ",\n"
-      << "  \"intra_steals\": " << s.intra_steals << ",\n"
-      << "  \"intra_parallel_rounds\": " << s.intra_parallel_rounds << ",\n"
-      << "  \"intra_fanout_count\": " << s.intra_fanout_count << ",\n"
-      << "  \"intra_fanout_mean\": " << FiniteOrZero(s.intra_fanout_mean)
-      << ",\n"
-      << "  \"intra_fanout_max\": " << FiniteOrZero(s.intra_fanout_max)
-      << ",\n";
+      << s.algo.spt_cache_insert_skips << ",\n";
   // Planner decision counters, one flat key per algorithm (display names
   // with '-' mapped to '_' so keys stay identifier-shaped), then the
   // aggregate and the GKPJ-fallback count.
@@ -490,16 +453,6 @@ std::string KpjEngine::MetricsPrometheus() const {
           s.bound_cache_evictions);
   gauge("kpj_cache_bytes", "Resident bytes across both reuse caches.",
         static_cast<double>(s.cache_bytes));
-  counter("kpj_intra_rounds_total",
-          "Deviation rounds executed (all execution modes).",
-          s.algo.intra_rounds);
-  counter("kpj_intra_tasks_total",
-          "Deviation tasks (candidate slots) executed.", s.algo.intra_tasks);
-  counter("kpj_intra_steals_total",
-          "Deviation tasks executed by helper lanes.", s.intra_steals);
-  counter("kpj_intra_parallel_rounds_total",
-          "Deviation rounds that fanned out across the pool.",
-          s.intra_parallel_rounds);
 
   // Histograms with Prometheus cumulative buckets.
   auto histogram = [&out](const char* name, const char* help,
@@ -523,9 +476,6 @@ std::string KpjEngine::MetricsPrometheus() const {
   };
   histogram("kpj_query_latency_ms", "Per-query wall time in milliseconds.",
             metrics_.latency);
-  histogram("kpj_intra_fanout",
-            "Slots per fanned-out deviation round (dimensionless).",
-            metrics_.intra_fanout);
   return out.str();
 }
 
@@ -540,9 +490,6 @@ void KpjEngine::ResetMetrics() {
   metrics_.slow_queries.Reset();
   metrics_.latency.Reset();
   metrics_.algo.Reset();
-  metrics_.intra_steals.Reset();
-  metrics_.intra_parallel_rounds.Reset();
-  metrics_.intra_fanout.Reset();
   for (Counter& c : metrics_.planner_choice) c.Reset();
   metrics_.planner_fallback.Reset();
   if (spt_cache_ != nullptr) {

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "core/instrumentation.h"
-#include "core/intra.h"
 #include "core/kpj_instance.h"
 #include "core/kpj_query.h"
 #include "core/planner.h"
@@ -51,15 +50,6 @@ struct KpjEngineOptions {
   /// shortcut recomputation of state a cold run reaches at the same
   /// program point. The CLI defaults this to 64 (--cache-mb/--no-cache).
   size_t cache_mb = 0;
-  /// Intra-query parallelism: lanes (including the owning worker) each
-  /// query's deviation rounds may fan out across the pool. 1 (the
-  /// default) runs rounds inline — full backward compatibility. 0 is the
-  /// auto-split policy: each query gets num_workers / in-flight-queries
-  /// lanes, so a lone expensive query uses the whole pool while a full
-  /// batch degrades to per-query parallelism only. Explicit values are
-  /// clamped by `clamp_to_hardware`. Results are byte-identical at every
-  /// setting (DESIGN.md "Intra-query parallelism").
-  unsigned intra_threads = 1;
   /// Adaptive-planner knobs (core/planner.h), consulted only when
   /// `solver.algorithm == Algorithm::kAuto` or a query carries an `auto`
   /// override. The planner only changes which solver produces the
@@ -110,16 +100,6 @@ struct EngineMetricsSnapshot {
   uint64_t spt_cache_evictions = 0;
   uint64_t bound_cache_evictions = 0;
   uint64_t cache_bytes = 0;  ///< Current resident bytes across both caches.
-  /// Intra-query parallelism scheduling facts (all zero at
-  /// intra_threads <= 1). Deliberately *not* in `algo`: steals and
-  /// fan-out depend on worker timing, while AlgoStats must be identical
-  /// at any thread count. The deterministic round structure is in
-  /// `algo.intra_rounds` / `algo.intra_tasks`.
-  uint64_t intra_steals = 0;           ///< Slots executed by helper lanes.
-  uint64_t intra_parallel_rounds = 0;  ///< Rounds that actually fanned out.
-  uint64_t intra_fanout_count = 0;     ///< Fanned-out rounds recorded.
-  double intra_fanout_mean = 0.0;      ///< Mean slots per fanned-out round.
-  double intra_fanout_max = 0.0;       ///< Largest fanned-out round.
   /// Adaptive-planner decisions per chosen algorithm (indexed by
   /// PlannerIndex; all zero when no query engaged the planner) and the
   /// fallback count (GKPJ queries the cache probes cannot help).
@@ -254,12 +234,6 @@ class KpjEngine {
     Counter slow_queries;
     LatencyHistogram latency;
     AtomicAlgoStats algo;
-    /// Intra-query scheduling facts; see EngineMetricsSnapshot.
-    Counter intra_steals;
-    Counter intra_parallel_rounds;
-    /// Per-round fan-out distribution (values are slot counts; the
-    /// geometric ms buckets resolve the interesting 1..100 range well).
-    LatencyHistogram intra_fanout;
     /// Planner decisions by chosen algorithm, plus GKPJ fallbacks.
     std::array<Counter, kNumPlannableAlgorithms> planner_choice;
     Counter planner_fallback;
@@ -267,9 +241,6 @@ class KpjEngine {
   Metrics metrics_;
   /// Monotonic query-id source shared by Submit and RunBatch.
   std::atomic<uint64_t> next_query_id_{0};
-  /// Queries currently inside RunOne; drives the intra_threads == 0
-  /// auto-split policy (workers / active queries).
-  std::atomic<unsigned> active_queries_{0};
 };
 
 }  // namespace kpj

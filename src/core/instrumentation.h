@@ -56,15 +56,6 @@ struct AlgoStats {
   uint64_t candidates_generated = 0;
   uint64_t candidates_pruned = 0;
 
-  // Intra-query round structure (PR 5): deviation rounds routed through
-  // RunDeviationRound and the slots (candidate computations) they carried.
-  // Counted in every execution mode — they describe the algorithm's
-  // division structure, not the scheduling — so AlgoStats stay identical
-  // at any intra_threads setting. Scheduling-dependent counts (steals,
-  // fan-out) live in the engine metrics instead.
-  uint64_t intra_rounds = 0;
-  uint64_t intra_tasks = 0;
-
   // Lower-bound tightness: for every subspace whose exact shortest path was
   // eventually found, accumulates lb (num) and the exact length (den).
   // num/den in [0,1]; 1.0 means CompLB was exact everywhere.
@@ -89,8 +80,6 @@ struct AlgoStats {
     spt_cache_insert_skips += other.spt_cache_insert_skips;
     candidates_generated += other.candidates_generated;
     candidates_pruned += other.candidates_pruned;
-    intra_rounds += other.intra_rounds;
-    intra_tasks += other.intra_tasks;
     lb_tightness_num += other.lb_tightness_num;
     lb_tightness_den += other.lb_tightness_den;
   }
@@ -127,8 +116,6 @@ class AtomicAlgoStats {
     spt_cache_insert_skips_.Add(s.spt_cache_insert_skips);
     candidates_generated_.Add(s.candidates_generated);
     candidates_pruned_.Add(s.candidates_pruned);
-    intra_rounds_.Add(s.intra_rounds);
-    intra_tasks_.Add(s.intra_tasks);
     lb_tightness_num_.Add(s.lb_tightness_num);
     lb_tightness_den_.Add(s.lb_tightness_den);
   }
@@ -149,8 +136,6 @@ class AtomicAlgoStats {
     s.spt_cache_insert_skips = spt_cache_insert_skips_.value();
     s.candidates_generated = candidates_generated_.value();
     s.candidates_pruned = candidates_pruned_.value();
-    s.intra_rounds = intra_rounds_.value();
-    s.intra_tasks = intra_tasks_.value();
     s.lb_tightness_num = lb_tightness_num_.value();
     s.lb_tightness_den = lb_tightness_den_.value();
     return s;
@@ -171,8 +156,6 @@ class AtomicAlgoStats {
     spt_cache_insert_skips_.Reset();
     candidates_generated_.Reset();
     candidates_pruned_.Reset();
-    intra_rounds_.Reset();
-    intra_tasks_.Reset();
     lb_tightness_num_.Reset();
     lb_tightness_den_.Reset();
   }
@@ -192,8 +175,6 @@ class AtomicAlgoStats {
   Counter spt_cache_insert_skips_;
   Counter candidates_generated_;
   Counter candidates_pruned_;
-  Counter intra_rounds_;
-  Counter intra_tasks_;
   Counter lb_tightness_num_;
   Counter lb_tightness_den_;
 };

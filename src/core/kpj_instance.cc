@@ -152,8 +152,7 @@ Result<KpjResult> RunKpjOnInstance(const KpjInstance& instance,
                                    const KpjOptions& options,
                                    KpjSolver* pooled_solver,
                                    const CancellationToken* cancel,
-                                   const QueryCacheContext* cache,
-                                   const IntraQueryContext* intra) {
+                                   const QueryCacheContext* cache) {
   TraceSpan prepare_span("instance.prepare");
   Result<KpjQuery> internal = TranslateQuery(instance, query);
   if (!internal.ok()) return internal.status();
@@ -162,7 +161,6 @@ Result<KpjResult> RunKpjOnInstance(const KpjInstance& instance,
   if (!prepared.ok()) return prepared.status();
   PreparedQuery& pq = prepared.value();
   pq.cancel = cancel;
-  pq.intra = intra;
   prepare_span.End();
 
   if (pq.targets.empty()) {

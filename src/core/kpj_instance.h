@@ -184,17 +184,12 @@ Result<PreparedQuery> PrepareQuery(const KpjInstance& instance,
 /// It is threaded to single-source solvers only: GKPJ queries run on the
 /// augmented super-source graph, whose node space the caches do not
 /// describe. Results are byte-identical with or without a cache.
-///
-/// `intra` (may be null) enables intra-query parallel deviation rounds
-/// (core/intra.h); it is threaded to both pooled and GKPJ solvers.
-/// Results are byte-identical with or without it.
 Result<KpjResult> RunKpjOnInstance(const KpjInstance& instance,
                                    const KpjQuery& query,
                                    const KpjOptions& options,
                                    KpjSolver* pooled_solver,
                                    const CancellationToken* cancel,
-                                   const QueryCacheContext* cache = nullptr,
-                                   const IntraQueryContext* intra = nullptr);
+                                   const QueryCacheContext* cache = nullptr);
 
 /// One-shot convenience over RunKpjOnInstance (no pooled solver, no
 /// cancellation).

@@ -135,7 +135,6 @@ struct KpjResult {
 };
 
 struct QueryCacheContext;   // core/spt_cache.h
-struct IntraQueryContext;   // core/intra.h
 
 /// A validated, single-source view of a query that solvers execute.
 /// kpj.cc (the facade) builds this from a KpjQuery — directly for a single
@@ -159,10 +158,6 @@ struct PreparedQuery {
   /// engine when caching is enabled. Not owned; nullptr disables reuse.
   /// Solvers adopting cached state must stay byte-identical to a cold run.
   const QueryCacheContext* cache = nullptr;
-  /// Optional intra-query parallelism context (core/intra.h), set by the
-  /// engine when intra_threads > 1. Not owned; nullptr (or threads <= 1)
-  /// runs deviation rounds inline. Results are byte-identical either way.
-  const IntraQueryContext* intra = nullptr;
 };
 
 }  // namespace kpj

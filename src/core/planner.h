@@ -122,7 +122,7 @@ struct PlannerOptions {
   uint32_t category_targets = 32;
   /// Pinned mode freezes the profile and the repeat-set table: Plan()
   /// becomes a pure function of the query features, so choices are
-  /// identical at any (workers, intra_threads, cache) point. Used by the
+  /// identical at any (workers, cache) point. Used by the
   /// determinism tests; RecordLatency becomes a no-op.
   bool pinned = false;
 };

@@ -117,10 +117,9 @@ struct SptCacheStats {
 /// of the key) — plus eager via PurgeOlderEpochs.
 ///
 /// Lookup returns a *copy* of the stored value, so the snapshot a query
-/// adopts is private to that query: once copied into solver state it may
-/// be read concurrently by every intra-query deviation lane (core/intra.h)
-/// without touching cache synchronization, and a concurrent eviction or
-/// insert on the shard cannot invalidate it.
+/// adopts is private to that query: once copied into solver state it is
+/// read without touching cache synchronization, and a concurrent eviction
+/// or insert on the shard cannot invalidate it.
 class SptCache {
  public:
   explicit SptCache(size_t budget_bytes);

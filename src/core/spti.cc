@@ -54,12 +54,11 @@ void IterBoundSptiSolver::GrowTree(double tau, QueryStats* stats) {
 }
 
 double IterBoundSptiSolver::CompLb(uint32_t v, const PreparedQuery& query,
-                                   EpochSet* forbidden_scratch,
                                    QueryStats* stats) {
   const PseudoTree::Vertex& vx = tree_.vertex(v);
-  forbidden_scratch->ClearAll();
-  tree_.MarkPrefix(v, forbidden_scratch);
-  const EpochSet& forbidden = *forbidden_scratch;
+  rev_search_.ClearForbidden();
+  tree_.MarkPrefix(v, &rev_search_.forbidden());
+  const EpochSet& forbidden = rev_search_.forbidden();
 
   double lb = kInfinity;
   if (vx.node == kInvalidNode) {
@@ -110,40 +109,19 @@ void IterBoundSptiSolver::ExpandDivision(const DivisionResult& division,
                                          double chosen_length,
                                          SubspaceQueue& queue,
                                          QueryStats* stats) {
-  // Canonical slot order — revised vertex, then created vertices in
-  // creation order — matches sequential execution; the merge below
-  // preserves it regardless of which lane computed which slot.
-  std::vector<uint32_t> slots;
-  slots.reserve(1 + division.created.size());
-  slots.push_back(division.revised);
-  slots.insert(slots.end(), division.created.begin(),
-               division.created.end());
-
-  struct Slot {
-    double lb = kInfinity;
-    QueryStats stats;
-  };
-  std::vector<Slot> results(slots.size());
-  RunDeviationRound(
-      intra_, slots.size(), &stats->algo, [&](size_t i, unsigned lane) {
-        // Stolen tasks poll the token too; a skipped lb only matters when
-        // cancelled, where the main loop exits before using it.
-        if (cancel_ != nullptr && cancel_->ShouldStop()) return;
-        EpochSet* forbidden = lane == 0 ? &rev_search_.forbidden()
-                                        : lane_forbidden_[lane - 1].get();
-        results[i].lb = CompLb(slots[i], query, forbidden,
-                               &results[i].stats);
-      });
-  for (size_t i = 0; i < results.size(); ++i) {
-    stats->Accumulate(results[i].stats);
+  // Revised vertex first, then created vertices in creation order.
+  for (size_t i = 0; i <= division.created.size(); ++i) {
+    if (cancel_ != nullptr && cancel_->ShouldStop()) break;
+    uint32_t v = i == 0 ? division.revised : division.created[i - 1];
+    double lb = CompLb(v, query, stats);
     ++stats->subspaces_created;
-    if (results[i].lb == kInfinity) {
+    if (lb == kInfinity) {
       ++stats->algo.candidates_pruned;
       continue;
     }
     SubspaceEntry fresh;
-    fresh.vertex = slots[i];
-    fresh.key = std::max(results[i].lb, chosen_length);
+    fresh.vertex = v;
+    fresh.key = std::max(lb, chosen_length);
     queue.Push(std::move(fresh));
   }
 }
@@ -153,13 +131,6 @@ KpjResult IterBoundSptiSolver::Run(const PreparedQuery& query) {
       << "solver bound to different graphs";
   KpjResult res;
   cancel_ = query.cancel;
-  intra_ = query.intra;
-  // One forbidden-set scratch (reverse-graph sized) per helper lane,
-  // provisioned up front so rounds never allocate into shared vectors.
-  while (lane_forbidden_.size() + 1 < IntraLanes(intra_)) {
-    lane_forbidden_.push_back(
-        std::make_unique<EpochSet>(reverse_.NumNodes()));
-  }
   spti_.SetCancelToken(cancel_);
   // res is stack storage: the pointer is cleared on every exit path below.
   spti_.SetAlgoStats(&res.stats.algo);

@@ -7,7 +7,6 @@
 
 #include "core/constraint.h"
 #include "core/heuristics.h"
-#include "core/intra.h"
 #include "core/kpj_query.h"
 #include "core/pseudo_tree.h"
 #include "core/solver.h"
@@ -48,15 +47,12 @@ class IterBoundSptiSolver final : public KpjSolver {
   KpjResult Run(const PreparedQuery& query) override;
 
  private:
-  /// CompLB-SPT_I (Alg. 8), using `forbidden` as prefix-marking scratch;
-  /// +infinity means "provably empty subspace". Reads SPT_I state that
-  /// GrowTree only mutates *between* deviation rounds, so concurrent lane
-  /// calls are safe.
-  double CompLb(uint32_t v, const PreparedQuery& query, EpochSet* forbidden,
-                QueryStats* stats);
+  /// CompLB-SPT_I (Alg. 8), using rev_search_.forbidden() as
+  /// prefix-marking scratch; +infinity means "provably empty subspace".
+  double CompLb(uint32_t v, const PreparedQuery& query, QueryStats* stats);
 
-  /// One deviation round of CompLb calls over the division's subspaces
-  /// (revised first, created in order), merged into `queue` in that order.
+  /// Pushes a CompLb entry for each of the division's subspaces (revised
+  /// first, created in order).
   void ExpandDivision(const DivisionResult& division,
                       const PreparedQuery& query, double chosen_length,
                       SubspaceQueue& queue, QueryStats* stats);
@@ -85,11 +81,6 @@ class IterBoundSptiSolver final : public KpjSolver {
 
   /// Per-query cancellation token (from PreparedQuery); set by Run.
   const CancellationToken* cancel_ = nullptr;
-  /// Per-query intra-parallelism context (from PreparedQuery); set by Run.
-  const IntraQueryContext* intra_ = nullptr;
-  /// Helper-lane forbidden-set scratch over the reverse graph (lane
-  /// L >= 1 uses lane_forbidden_[L-1]; lane 0 uses rev_search_'s set).
-  std::vector<std::unique_ptr<EpochSet>> lane_forbidden_;
 };
 
 }  // namespace kpj

@@ -1,7 +1,6 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
-#include <memory>
 
 #include "util/concurrency.h"
 
@@ -63,64 +62,6 @@ void ThreadPool::ParallelFor(
   for (unsigned w = 0; w < num_workers(); ++w) Submit(drain);
   std::unique_lock<std::mutex> lock(done_mu);
   done_cv.wait(lock, [&] { return pending == 0; });
-}
-
-size_t ThreadPool::HelpedParallelFor(
-    size_t count, unsigned helpers,
-    const std::function<void(size_t, unsigned)>& body) {
-  if (count == 0) return 0;
-  if (helpers == 0 || count == 1) {
-    for (size_t i = 0; i < count; ++i) body(i, 0);
-    return 0;
-  }
-  // Shared between the owner and the helper tasks. Helpers may start
-  // *after* the owner has drained the counter and returned (the pool was
-  // busy); they then observe an exhausted counter, never touch `body`, and
-  // only dereference this heap state — hence the shared_ptr.
-  struct State {
-    std::atomic<size_t> next{0};
-    size_t count = 0;
-    const std::function<void(size_t, unsigned)>* body = nullptr;
-    std::mutex mu;
-    std::condition_variable cv;
-    unsigned active = 0;  // helpers currently inside their drain loop
-    size_t stolen = 0;
-  };
-  auto state = std::make_shared<State>();
-  state->count = count;
-  state->body = &body;
-
-  for (unsigned h = 0; h < helpers; ++h) {
-    Submit([state, lane = h + 1](unsigned /*worker*/) {
-      {
-        std::unique_lock<std::mutex> lock(state->mu);
-        ++state->active;
-      }
-      size_t mine = 0;
-      for (;;) {
-        size_t i = state->next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= state->count) break;
-        (*state->body)(i, lane);
-        ++mine;
-      }
-      std::unique_lock<std::mutex> lock(state->mu);
-      state->stolen += mine;
-      if (--state->active == 0) state->cv.notify_all();
-    });
-  }
-
-  for (;;) {
-    size_t i = state->next.fetch_add(1, std::memory_order_relaxed);
-    if (i >= count) break;
-    body(i, 0);
-  }
-  // The counter is exhausted, so any helper not yet in `active` can no
-  // longer claim an index; waiting for active == 0 therefore covers every
-  // helper that will ever run `body`, and the mutex hand-off makes their
-  // writes visible to the owner.
-  std::unique_lock<std::mutex> lock(state->mu);
-  state->cv.wait(lock, [&] { return state->active == 0; });
-  return state->stolen;
 }
 
 unsigned ThreadPool::ClampToHardware(unsigned threads) {

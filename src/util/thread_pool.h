@@ -54,24 +54,6 @@ class ThreadPool {
                    const std::function<void(size_t index, unsigned worker)>&
                        body);
 
-  /// Owner-helping variant of ParallelFor for nested use *from inside* a
-  /// pool task (or any external thread): the caller participates as lane 0
-  /// and drains the shared index counter itself, while up to `helpers`
-  /// one-shot tasks are submitted to the pool to steal indices as lanes
-  /// `1..helpers`. This is deadlock-free under nesting by construction —
-  /// the owner never blocks on queue capacity and makes progress alone if
-  /// every worker is busy (the helper tasks then find the counter
-  /// exhausted and exit without running `body`).
-  ///
-  /// `body(index, lane)` must be safe to call concurrently from different
-  /// lanes for different indices; two calls on the same lane never overlap,
-  /// so callers can keep per-lane workspaces indexed by `lane` in
-  /// `[0, helpers]`. Returns the number of indices executed by helper
-  /// lanes (0 when the pool was saturated and the owner did everything).
-  size_t HelpedParallelFor(size_t count, unsigned helpers,
-                           const std::function<void(size_t index,
-                                                    unsigned lane)>& body);
-
   /// Advisory hardware clamp; forwards to EffectiveWorkers() in
   /// util/concurrency.h, the single implementation of the clamp shared by
   /// the engine, the landmark builder, and the CLI.

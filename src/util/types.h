@@ -38,6 +38,16 @@ inline constexpr CategoryId kInvalidCategory =
 inline constexpr PathLength kInfLength =
     std::numeric_limits<PathLength>::max();
 
+/// Range checks for integers read from untrusted input (flags, batch
+/// files, the wire) before they narrow to 32 bits, where a wider value
+/// would wrap silently: a node id, and a path count k (KpjQuery::k).
+inline constexpr bool FitsNodeId(int64_t v) {
+  return v >= 0 && v <= int64_t{std::numeric_limits<NodeId>::max()};
+}
+inline constexpr bool FitsPathCount(int64_t v) {
+  return v > 0 && v <= int64_t{std::numeric_limits<uint32_t>::max()};
+}
+
 /// Adds path lengths, saturating at kInfLength (infinity is absorbing).
 inline constexpr PathLength SatAdd(PathLength a, PathLength b) {
   if (a == kInfLength || b == kInfLength) return kInfLength;

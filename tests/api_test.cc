@@ -5,9 +5,7 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "api/api.h"
@@ -138,7 +136,6 @@ TEST(EngineConfigTest, ValidateRejectsOutOfRangeFields) {
 TEST(EngineConfigTest, LowersOntoEngineOptions) {
   EngineConfig config;
   config.workers = 3;
-  config.intra_threads = 2;
   config.cache_mb = 32;
   config.deadline_ms = 150.0;
   config.slow_query_ms = 9.0;
@@ -147,7 +144,6 @@ TEST(EngineConfigTest, LowersOntoEngineOptions) {
   config.clamp_to_hardware = false;
   KpjEngineOptions options = config.ToEngineOptions();
   EXPECT_EQ(options.threads, 3u);
-  EXPECT_EQ(options.intra_threads, 2u);
   EXPECT_EQ(options.cache_mb, 32u);
   EXPECT_EQ(options.default_deadline_ms, 150.0);
   EXPECT_EQ(options.slow_query_ms, 9.0);
@@ -193,6 +189,7 @@ TEST(WireTest, QueryRequestRejectsBadFields) {
   for (const char* doc : {
            "{\"targets\":[1],\"k\":1}",  // no sources
            "{\"sources\":[-1],\"targets\":[1],\"k\":1}",
+           "{\"sources\":[4294967296],\"targets\":[1],\"k\":1}",
            "{\"sources\":[1],\"targets\":[2],\"k\":-3}",
            "{\"sources\":\"x\",\"targets\":[1],\"k\":1}",
        }) {
@@ -365,17 +362,13 @@ std::vector<std::string> Args(std::initializer_list<const char*> parts) {
 
 TEST(OptionsParseTest, ParsesTheSharedVocabulary) {
   Result<ParsedArgs> args = ParseFlagsOnly(Args(
-      {"--workers", "4", "--intra-threads", "2", "--cache-mb", "16",
+      {"--workers", "4", "--cache-mb", "16",
        "--oracle", "hublabel", "--deadline-ms", "25", "--slow-query-ms",
        "1.5", "--algorithm", "da-spt", "--alpha", "1.3"}));
   ASSERT_TRUE(args.ok()) << args.status().ToString();
   Result<EngineConfig> config = ParseEngineConfig(args.value());
   ASSERT_TRUE(config.ok()) << config.status().ToString();
   EXPECT_EQ(config.value().workers, 4u);
-  // --intra-threads is advisory-clamped to the hardware concurrency, so on
-  // a single-core machine the requested 2 lands as 1.
-  EXPECT_EQ(config.value().intra_threads,
-            std::min(2u, std::max(1u, std::thread::hardware_concurrency())));
   EXPECT_EQ(config.value().cache_mb, 16u);
   EXPECT_EQ(config.value().oracle, OracleKind::kHubLabel);
   EXPECT_EQ(config.value().deadline_ms, 25.0);
@@ -421,7 +414,6 @@ TEST(OptionsParseTest, RejectsInvalidValuesWithFlagSpelledErrors) {
   };
   for (const Case& c : std::initializer_list<Case>{
            {Args({"--workers", "0"}), "--workers"},
-           {Args({"--intra-threads", "-1"}), "--intra-threads"},
            {Args({"--cache-mb", "-5"}), "--cache-mb"},
            {Args({"--cache-mb", "8", "--no-cache"}), "mutually exclusive"},
            {Args({"--deadline-ms", "-1"}), "--deadline-ms"},

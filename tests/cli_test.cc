@@ -62,6 +62,7 @@ TEST(ParseNodeListTest, ListsAndErrors) {
   EXPECT_FALSE(ParseNodeList("").ok());
   EXPECT_FALSE(ParseNodeList("1,x").ok());
   EXPECT_FALSE(ParseNodeList("1,-2").ok());
+  EXPECT_FALSE(ParseNodeList("4294967296").ok());
 }
 
 class CliFlowTest : public ::testing::Test {

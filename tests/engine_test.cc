@@ -11,6 +11,7 @@
 #include "core/kpj_instance.h"
 #include "gen/road_gen.h"
 #include "util/rng.h"
+#include "util/timer.h"
 
 namespace kpj {
 namespace {
@@ -158,6 +159,43 @@ TEST(KpjEngineTest, PerQueryDeadlineOverridesEngineDefault) {
   ASSERT_TRUE(unbounded.ok());
   EXPECT_TRUE(unbounded.value().status.ok());
   EXPECT_EQ(unbounded.value().paths.size(), query.k);
+}
+
+TEST(KpjEngineTest, OneMillisecondDeadlineInterruptsRoad240k) {
+  RoadGenOptions opt;
+  opt.target_nodes = 240000;
+  opt.seed = 12;
+  Graph g = GenerateRoadNetwork(opt).graph;
+  const NodeId n = g.NumNodes();
+  KpjInstance instance =
+      KpjInstance::Wrap(std::move(g), Permutation()).value();
+
+  KpjQuery query;
+  query.sources = {0};
+  query.targets = {n - 1, n - 2, n - 3, n - 4};
+  query.k = 64;
+
+  for (Algorithm algorithm :
+       {Algorithm::kDA, Algorithm::kDaSpt, Algorithm::kIterBoundSptINoLm}) {
+    api::EngineConfig config;
+    config.workers = 2;
+    config.clamp_to_hardware = false;
+    config.algorithm = algorithm;
+    KpjEngine engine(instance, config.ToEngineOptions());
+    Timer timer;
+    Result<KpjResult> r = engine.Submit(query, /*deadline_ms=*/1.0).get();
+    double elapsed_ms = timer.ElapsedMillis();
+    ASSERT_TRUE(r.ok()) << AlgorithmName(algorithm);
+    // k=64 across a 240k-node network cannot finish in 1 ms; the result
+    // must be a flagged partial answer, and it must arrive promptly — a
+    // missing poll would let a full deviation search (or a full SPT
+    // build) run to completion first. The bound is generous because the
+    // searches poll cooperatively and CI machines are slow.
+    EXPECT_FALSE(r.value().status.ok()) << AlgorithmName(algorithm);
+    EXPECT_LT(elapsed_ms, 5000.0) << AlgorithmName(algorithm);
+    EXPECT_EQ(engine.MetricsSnapshot().deadline_exceeded, 1u)
+        << AlgorithmName(algorithm);
+  }
 }
 
 TEST(KpjEngineTest, GkpjQueriesRunOnTheEngine) {

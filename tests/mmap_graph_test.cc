@@ -242,7 +242,7 @@ TEST_F(MmapGraphTest, AllAlgorithmsByteIdenticalUnderMmap) {
 
 TEST_F(MmapGraphTest, EngineConfigSweepByteIdenticalUnderMmap) {
   // The acceptance bar: mapped answers equal heap answers at every
-  // (workers, intra_threads, cache) engine configuration, for every
+  // (workers, cache) engine configuration, for every
   // algorithm, through the same KpjEngine entry point the daemon uses.
   const Corpus& corpus = Corpus::Get();
   std::string path = WriteV4();
@@ -268,16 +268,14 @@ TEST_F(MmapGraphTest, EngineConfigSweepByteIdenticalUnderMmap) {
 
   struct Config {
     unsigned workers;
-    unsigned intra_threads;
     size_t cache_mb;
   };
-  for (const Config& cfg : {Config{1, 1, 0},     // sequential, cold
-                            Config{2, 2, 16},    // parallel + cache
-                            Config{3, 0, 64}}) {  // auto-split intra
+  for (const Config& cfg : {Config{1, 0},     // sequential, cold
+                            Config{2, 16},    // parallel + cache
+                            Config{3, 64}}) {
     for (Algorithm algorithm : kAllAlgorithms) {
       api::EngineConfig config;
       config.workers = cfg.workers;
-      config.intra_threads = cfg.intra_threads;
       config.cache_mb = cfg.cache_mb;
       config.algorithm = algorithm;
       config.clamp_to_hardware = false;
@@ -289,8 +287,7 @@ TEST_F(MmapGraphTest, EngineConfigSweepByteIdenticalUnderMmap) {
       for (size_t q = 0; q < want.size(); ++q) {
         const std::string label =
             std::string(AlgorithmName(algorithm)) + " workers=" +
-            std::to_string(cfg.workers) + " intra=" +
-            std::to_string(cfg.intra_threads) + " cache=" +
+            std::to_string(cfg.workers) + " cache=" +
             std::to_string(cfg.cache_mb) + " query " + std::to_string(q);
         ASSERT_TRUE(want[q].ok() && got[q].ok()) << label;
         ASSERT_EQ(want[q].value().paths.size(), got[q].value().paths.size())

@@ -64,12 +64,10 @@ std::string CanonicalPaths(const Result<KpjResult>& result) {
   return out;
 }
 
-KpjEngineOptions AutoOptions(unsigned workers, size_t cache_mb,
-                             unsigned intra = 1) {
+KpjEngineOptions AutoOptions(unsigned workers, size_t cache_mb) {
   KpjEngineOptions opt;
   opt.threads = workers;
   opt.clamp_to_hardware = false;  // determinism at any core count
-  opt.intra_threads = intra;
   opt.cache_mb = cache_mb;
   opt.solver.algorithm = Algorithm::kAuto;
   return opt;
@@ -400,16 +398,15 @@ TEST(PlannerEngineTest, PinnedChoicesAreIdenticalAcrossExecutionPoints) {
   // With a pinned profile and a workload of distinct ad-hoc queries (no
   // repeats, sub-category target sets), every decision is a pure function
   // of the query features — so both the answers and the per-algorithm
-  // choice counters must be byte-identical at any (workers,
-  // intra_threads, cache) point.
+  // choice counters must be byte-identical at any (workers, cache) point.
   KpjInstance instance = MakeInstance(/*landmarks=*/true);
   std::vector<KpjQuery> workload;
   for (uint64_t i = 0; i < 16; ++i) {
     workload.push_back(MakeQuery(instance.NumNodes(), 700 + i));
   }
 
-  auto run = [&](unsigned workers, unsigned intra, size_t cache_mb) {
-    KpjEngine engine(instance, AutoOptions(workers, cache_mb, intra));
+  auto run = [&](unsigned workers, size_t cache_mb) {
+    KpjEngine engine(instance, AutoOptions(workers, cache_mb));
     engine.planner().PinProfile(PlannerProfile::StaticPrior());
     std::vector<Result<KpjResult>> results = engine.RunBatch(workload);
     std::string canon;
@@ -417,23 +414,21 @@ TEST(PlannerEngineTest, PinnedChoicesAreIdenticalAcrossExecutionPoints) {
     return std::make_pair(canon, engine.MetricsSnapshot().planner_choice);
   };
 
-  auto [ref_paths, ref_choices] = run(1, 1, 0);
+  auto [ref_paths, ref_choices] = run(1, 0);
   uint64_t total = 0;
   for (uint64_t c : ref_choices) total += c;
   EXPECT_EQ(total, workload.size());
 
-  for (auto [workers, intra, cache_mb] :
-       {std::tuple<unsigned, unsigned, size_t>{1u, 1u, 16},
-        {2u, 1u, 0},
-        {4u, 2u, 16},
-        {3u, 1u, 16}}) {
-    auto [paths, choices] = run(workers, intra, cache_mb);
+  for (auto [workers, cache_mb] :
+       {std::pair<unsigned, size_t>{1u, 16},
+        {2u, 0},
+        {4u, 16},
+        {3u, 16}}) {
+    auto [paths, choices] = run(workers, cache_mb);
     EXPECT_EQ(paths, ref_paths)
-        << "workers=" << workers << " intra=" << intra
-        << " cache=" << cache_mb;
+        << "workers=" << workers << " cache=" << cache_mb;
     EXPECT_EQ(choices, ref_choices)
-        << "workers=" << workers << " intra=" << intra
-        << " cache=" << cache_mb;
+        << "workers=" << workers << " cache=" << cache_mb;
   }
 }
 

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "util/cancellation.h"
+#include "util/concurrency.h"
 
 namespace kpj {
 namespace {
@@ -104,6 +105,14 @@ TEST(ThreadPoolTest, ClampToHardwareBehavior) {
   if (hw == 0) hw = 2;  // The documented fallback when hw is unknown.
   EXPECT_EQ(ThreadPool::ClampToHardware(hw + 1), hw);
   EXPECT_EQ(ThreadPool::ClampToHardware(1u << 20), hw);
+  EXPECT_EQ(ThreadPool::ClampToHardware(1u << 20), EffectiveWorkers(1u << 20));
+}
+
+TEST(ThreadPoolTest, ResolveWorkerCount) {
+  // 0 = hardware pick; clamp off = verbatim; clamp on = EffectiveWorkers.
+  EXPECT_GE(ResolveWorkerCount(0, true), 1u);
+  EXPECT_EQ(ResolveWorkerCount(7, false), 7u);
+  EXPECT_EQ(ResolveWorkerCount(7, true), EffectiveWorkers(7));
 }
 
 TEST(CancellationTokenTest, StartsClearAndLatchesOnRequest) {

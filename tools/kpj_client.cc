@@ -250,7 +250,7 @@ int CmdQuery(const api::ParsedArgs& args) {
   if (!targets.ok()) return Fail(targets.status());
   request.targets = std::move(targets).value();
   Result<int64_t> k = args.GetInt("k", 10);
-  if (!k.ok() || k.value() <= 0) {
+  if (!k.ok() || !kpj::FitsPathCount(k.value())) {
     return Fail(Status::InvalidArgument("--k must be positive"));
   }
   request.k = static_cast<uint32_t>(k.value());
@@ -329,7 +329,8 @@ int CmdBatch(const api::ParsedArgs& args) {
     api::QueryRequest query;
     auto src = kpj::ParseInt(fields[0]);
     auto kval = kpj::ParseInt(fields[1]);
-    if (!src || !kval || *src < 0 || *kval <= 0) {
+    if (!src || !kval || !kpj::FitsNodeId(*src) ||
+        !kpj::FitsPathCount(*kval)) {
       return Fail(Status::InvalidArgument(
           "query line " + std::to_string(line_no) + ": bad source/k"));
     }
@@ -337,7 +338,7 @@ int CmdBatch(const api::ParsedArgs& args) {
     query.k = static_cast<uint32_t>(*kval);
     for (size_t i = 2; i < fields.size(); ++i) {
       auto t = kpj::ParseInt(fields[i]);
-      if (!t || *t < 0) {
+      if (!t || !kpj::FitsNodeId(*t)) {
         return Fail(Status::InvalidArgument(
             "query line " + std::to_string(line_no) + ": bad target"));
       }

@@ -8,7 +8,7 @@
 // a new graph epoch without dropping traffic.
 //
 //   kpjd --graph FILE [--landmarks FILE] [--host 127.0.0.1] [--port 0]
-//        [--port-file FILE] [--workers N] [--intra-threads N]
+//        [--port-file FILE] [--workers N]
 //        [--cache-mb MB | --no-cache] [--oracle alt|hublabel]
 //        [--deadline-ms MS] [--slow-query-ms MS] [--algorithm NAME|auto]
 //        [--alpha A] [--max-queue N] [--backlog N]
@@ -35,7 +35,7 @@ void PrintHelp(std::ostream& out) {
          "\n"
          "  kpjd --graph FILE [--landmarks FILE]\n"
          "       [--host 127.0.0.1] [--port 0] [--port-file FILE]\n"
-         "       [--workers N] [--intra-threads N]\n"
+         "       [--workers N]\n"
          "       [--cache-mb MB | --no-cache] [--oracle alt|hublabel]\n"
          "       [--deadline-ms MS] [--slow-query-ms MS]\n"
          "       [--algorithm NAME|auto] [--alpha A]\n"

@@ -51,8 +51,6 @@ METRICS_REQUIRED_KEYS = [
     "algo_bound_cache_hits",
     "algo_bound_cache_misses",
     "algo_spt_cache_insert_skips",
-    "algo_intra_rounds",
-    "algo_intra_tasks",
     "planner_choice_DA",
     "planner_choice_DA_SPT",
     "planner_choice_BestFirst",
@@ -62,11 +60,6 @@ METRICS_REQUIRED_KEYS = [
     "planner_choice_IterBoundI_NL",
     "planner_choice_total",
     "planner_fallback_total",
-    "intra_steals",
-    "intra_parallel_rounds",
-    "intra_fanout_count",
-    "intra_fanout_mean",
-    "intra_fanout_max",
     "spt_cache_insertions",
     "spt_cache_evictions",
     "bound_cache_evictions",
@@ -111,11 +104,6 @@ PROM_REQUIRED_SERIES = [
     "kpj_planner_choice_total",
     "kpj_planner_fallback_total",
     "kpj_cache_bytes",
-    "kpj_intra_rounds_total",
-    "kpj_intra_tasks_total",
-    "kpj_intra_steals_total",
-    "kpj_intra_parallel_rounds_total",
-    "kpj_intra_fanout",
     "kpj_query_latency_ms",
 ]
 
