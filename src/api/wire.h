@@ -9,7 +9,6 @@
 
 #include "api/api.h"
 #include "api/json.h"
-#include "index/distance_oracle.h"
 #include "util/status.h"
 
 namespace kpj::api {
@@ -37,7 +36,6 @@ struct MetricsRequest {
 struct SwapRequest {
   std::string graph;                ///< New graph file (required).
   std::string landmarks;            ///< Optional landmark index file.
-  std::optional<OracleKind> oracle; ///< Absent = keep the current kind.
 };
 
 /// Payload of a kHealth response.

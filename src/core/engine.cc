@@ -401,8 +401,8 @@ std::string KpjEngine::MetricsPrometheus() const {
         s.algo.LowerBoundTightness());
   // Raw tightness terms, labeled by the solver this engine runs: their
   // quotient is the ratio above, but as monotone counters they survive
-  // scraping/rate() and make per-algorithm oracle comparisons (ALT vs hub
-  // labels) directly observable.
+  // scraping/rate() and make per-algorithm bound-quality comparisons
+  // directly observable.
   {
     const char* algo_name = AlgorithmName(options_.solver.algorithm);
     auto labeled_counter = [&out, algo_name](const char* name,

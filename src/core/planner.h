@@ -129,11 +129,12 @@ struct PlannerOptions {
 
 /// Per-query algorithm planner behind `--algorithm=auto`.
 ///
-/// The cost model reads only cheap observables — k, |V_T|, the oracle
-/// kind, side-effect-free SPT-cache residency probes, the landmark
-/// distance quintile of the source, and the rolling per-algorithm latency
-/// profile — and never looks at the answer, so the choice can only change
-/// *which* solver produces the (byte-identical) paths, never the paths.
+/// The cost model reads only cheap observables — k, |V_T|, whether an
+/// oracle is attached, side-effect-free SPT-cache residency probes, the
+/// landmark distance quintile of the source, and the rolling per-algorithm
+/// latency profile — and never looks at the answer, so the choice can only
+/// change *which* solver produces the (byte-identical) paths, never the
+/// paths.
 ///
 /// DA-SPT is a choice only when no oracle is attached. With landmark
 /// bounds the forward incremental solver wins even against a resident

@@ -168,7 +168,6 @@ uint64_t LandmarkIndex::Identity() const {
       h = (h ^ ((value >> (8 * i)) & 0xff)) * kPrime;
     }
   };
-  mix(static_cast<uint64_t>(kind()));
   mix(num_nodes_);
   mix(landmarks_.size());
   for (NodeId l : landmarks_) mix(l);
@@ -177,7 +176,7 @@ uint64_t LandmarkIndex::Identity() const {
 
 PathLength LandmarkIndex::LowerBound(NodeId u, NodeId v) const {
   // Virtual nodes (GKPJ super-source) are outside the tables; 0 is the
-  // only admissible bound for them (DistanceOracle contract).
+  // only admissible bound for them (see the class contract).
   if (u >= num_nodes_ || v >= num_nodes_) return 0;
   if (u == v) return 0;
   PathLength best = 0;

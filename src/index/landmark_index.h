@@ -2,19 +2,28 @@
 #define KPJ_INDEX_LANDMARK_INDEX_H_
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "graph/graph.h"
 #include "graph/reorder.h"
-#include "index/distance_oracle.h"
 #include "util/array_ref.h"
 #include "util/status.h"
 #include "util/types.h"
 
 namespace kpj {
+
+/// Direction of a node-to-set distance bound.
+enum class BoundDirection {
+  /// Bound on dist(u, S) = min over x in S of dist(u, x). This is the
+  /// paper's lb(u, V_T) of Eq. (2): the set is the destination category.
+  kToSet,
+  /// Bound on dist(S, u) = min over x in S of dist(x, u). Used by the
+  /// reverse-oriented SPT_I search (bounding distance *from* the source
+  /// side, §5.3/§6) and by GKPJ's multi-node source.
+  kFromSet,
+};
 
 /// How landmark nodes are picked.
 enum class LandmarkSelection {
@@ -55,7 +64,15 @@ struct LandmarkIndexOptions {
 ///
 /// Construction is O(|L| (m + n log n)); storage O(|L| n) — both as stated
 /// in the paper's "Remarks & Time Complexity".
-class LandmarkIndex final : public DistanceOracle {
+///
+/// This is the solvers' only distance oracle (KpjOptions::oracle). Its
+/// contract: LowerBound(u, v) <= dist(u, v) for all real nodes,
+/// kInfLength only when v is provably unreachable from u, and 0 when
+/// either node is virtual (>= num_nodes(); GKPJ super-sources attach via
+/// zero-weight arcs, so no other bound is admissible). Bounds are a pure
+/// function of the tables, which is what makes cross-query caching of set
+/// aggregates (TargetBoundCache) and the engine's determinism sound.
+class LandmarkIndex {
  public:
   /// Builds the index. `reverse_graph` must be `graph.Reverse()` (passed in
   /// so callers can reuse an already-built reverse graph).
@@ -70,20 +87,12 @@ class LandmarkIndex final : public DistanceOracle {
   }
   const std::vector<NodeId>& landmarks() const { return landmarks_; }
 
-  // DistanceOracle interface -------------------------------------------
-  OracleKind kind() const override { return OracleKind::kAlt; }
-  NodeId num_nodes() const override { return num_nodes_; }
-  /// FNV-1a over the landmark set and table shape — cheap (O(|L|)) and
-  /// distinct across differently-built indexes with overwhelming
-  /// probability (different landmark node sets).
-  uint64_t Identity() const override;
-  std::shared_ptr<const SetAggregates> ComputeSetAggregates(
-      std::span<const NodeId> set, BoundDirection direction) const override;
-  std::unique_ptr<Heuristic> MakeSetBound(
-      std::shared_ptr<const SetAggregates> aggregates,
-      BoundDirection direction, NodeId scoring_node,
-      uint32_t max_active) const override;
-  // ---------------------------------------------------------------------
+  NodeId num_nodes() const { return num_nodes_; }
+  /// Cache-key fingerprint: FNV-1a over the landmark set and table shape —
+  /// cheap (O(|L|)) and distinct across differently-built indexes with
+  /// overwhelming probability (different landmark node sets). Mixed into
+  /// TargetBoundCache keys so aggregates are never served across indexes.
+  uint64_t Identity() const;
 
   /// δ(landmark_l, v); kInfLength if unreachable.
   PathLength DistFromLandmark(uint32_t l, NodeId v) const {
@@ -97,7 +106,7 @@ class LandmarkIndex final : public DistanceOracle {
 
   /// Lower bound on the point-to-point shortest distance dist(u, v).
   /// Returns kInfLength when the tables prove v unreachable from u.
-  PathLength LowerBound(NodeId u, NodeId v) const override;
+  PathLength LowerBound(NodeId u, NodeId v) const;
 
   /// Returns a copy of this index with every node id mapped through
   /// `permutation` (old id -> new id): landmark ids are translated and the

@@ -7,11 +7,11 @@
 
 namespace kpj {
 
-std::shared_ptr<const LandmarkSetAggregates>
+std::shared_ptr<const LandmarkAggregates>
 LandmarkSetBound::ComputeAggregates(const LandmarkIndex& index,
                                     std::span<const NodeId> set,
                                     BoundDirection direction) {
-  auto agg = std::make_shared<LandmarkSetAggregates>();
+  auto agg = std::make_shared<LandmarkAggregates>();
   const uint32_t num = index.num_landmarks();
   agg->min_primary.assign(num, kInfLength);
   agg->max_secondary.assign(num, 0);
@@ -44,7 +44,7 @@ LandmarkSetBound::LandmarkSetBound(const LandmarkIndex* index,
 
 LandmarkSetBound::LandmarkSetBound(
     const LandmarkIndex* index,
-    std::shared_ptr<const LandmarkSetAggregates> aggregates,
+    std::shared_ptr<const LandmarkAggregates> aggregates,
     BoundDirection direction, NodeId scoring_node, uint32_t max_active)
     : index_(index), direction_(direction), agg_(std::move(aggregates)) {
   KPJ_CHECK(index_ != nullptr);
@@ -129,24 +129,6 @@ PathLength LandmarkSetBound::Estimate(NodeId u) const {
   return best;
 }
 
-std::shared_ptr<const SetAggregates> LandmarkIndex::ComputeSetAggregates(
-    std::span<const NodeId> set, BoundDirection direction) const {
-  return LandmarkSetBound::ComputeAggregates(*this, set, direction);
-}
-
-std::unique_ptr<Heuristic> LandmarkIndex::MakeSetBound(
-    std::shared_ptr<const SetAggregates> aggregates, BoundDirection direction,
-    NodeId scoring_node, uint32_t max_active) const {
-  KPJ_CHECK(aggregates != nullptr);
-  // The cache keys aggregates by Identity(), so anything handed back here
-  // was produced by this oracle's ComputeSetAggregates.
-  return std::make_unique<LandmarkSetBound>(
-      this,
-      std::static_pointer_cast<const LandmarkSetAggregates>(
-          std::move(aggregates)),
-      direction, scoring_node, max_active);
-}
-
 size_t TargetBoundCache::KeyHash::operator()(const Key& key) const {
   size_t h = 14695981039346656037ull;
   constexpr size_t kPrime = 1099511628211ull;
@@ -161,11 +143,11 @@ TargetBoundCache::TargetBoundCache(size_t budget_bytes)
     : budget_bytes_(budget_bytes) {}
 
 size_t TargetBoundCache::EntryBytes(const Key& key,
-                                    const SetAggregates& agg) {
+                                    const LandmarkAggregates& agg) {
   return 2 * key.set.capacity() * sizeof(NodeId) + agg.MemoryBytes() + 128;
 }
 
-std::shared_ptr<const SetAggregates> TargetBoundCache::Lookup(
+std::shared_ptr<const LandmarkAggregates> TargetBoundCache::Lookup(
     uint64_t oracle_identity, uint64_t epoch, BoundDirection direction,
     std::span<const NodeId> set) {
   Key key{oracle_identity, epoch, direction,
@@ -184,7 +166,7 @@ std::shared_ptr<const SetAggregates> TargetBoundCache::Lookup(
 void TargetBoundCache::Insert(
     uint64_t oracle_identity, uint64_t epoch, BoundDirection direction,
     std::span<const NodeId> set,
-    std::shared_ptr<const SetAggregates> aggregates) {
+    std::shared_ptr<const LandmarkAggregates> aggregates) {
   KPJ_CHECK(aggregates != nullptr);
   Key key{oracle_identity, epoch, direction,
           std::vector<NodeId>(set.begin(), set.end())};
@@ -242,13 +224,13 @@ void TargetBoundCache::ResetStats() {
 }
 
 std::unique_ptr<Heuristic> MakeCachedSetBound(
-    const DistanceOracle* oracle, std::span<const NodeId> set,
+    const LandmarkIndex* oracle, std::span<const NodeId> set,
     BoundDirection direction, NodeId scoring_node, uint32_t max_active,
     TargetBoundCache* cache, uint64_t epoch, AlgoStats* algo) {
   KPJ_CHECK(oracle != nullptr);
-  std::shared_ptr<const SetAggregates> agg;
+  std::shared_ptr<const LandmarkAggregates> agg;
   if (cache == nullptr) {
-    agg = oracle->ComputeSetAggregates(set, direction);
+    agg = LandmarkSetBound::ComputeAggregates(*oracle, set, direction);
   } else {
     const uint64_t identity = oracle->Identity();
     agg = cache->Lookup(identity, epoch, direction, set);
@@ -256,12 +238,12 @@ std::unique_ptr<Heuristic> MakeCachedSetBound(
       if (algo != nullptr) ++algo->bound_cache_hits;
     } else {
       if (algo != nullptr) ++algo->bound_cache_misses;
-      agg = oracle->ComputeSetAggregates(set, direction);
+      agg = LandmarkSetBound::ComputeAggregates(*oracle, set, direction);
       cache->Insert(identity, epoch, direction, set, agg);
     }
   }
-  return oracle->MakeSetBound(std::move(agg), direction, scoring_node,
-                              max_active);
+  return std::make_unique<LandmarkSetBound>(oracle, std::move(agg), direction,
+                                            scoring_node, max_active);
 }
 
 }  // namespace kpj

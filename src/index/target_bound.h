@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "core/instrumentation.h"
-#include "index/distance_oracle.h"
 #include "index/landmark_index.h"
 #include "sssp/astar.h"
 #include "util/types.h"
@@ -22,14 +21,14 @@ namespace kpj {
 /// Per-landmark distance aggregates over a fixed node set — the O(|L|*|S|)
 /// part of building a LandmarkSetBound, and a pure function of (landmark
 /// tables, set, direction). Shareable across queries hitting the same
-/// category: see TargetBoundCache. (BoundDirection itself lives in
-/// index/distance_oracle.h with the oracle interface.)
-struct LandmarkSetAggregates final : SetAggregates {
+/// category: see TargetBoundCache.
+struct LandmarkAggregates {
   std::vector<PathLength> min_primary;   // kToSet: min_x δ(w,x); kFromSet: min_x δ(x,w)
   std::vector<PathLength> max_secondary; // kToSet: max_x δ(x,w); kFromSet: max_x δ(w,x)
 
-  size_t MemoryBytes() const override {
-    return sizeof(LandmarkSetAggregates) +
+  /// Approximate resident size, for cache byte accounting.
+  size_t MemoryBytes() const {
+    return sizeof(LandmarkAggregates) +
            (min_primary.capacity() + max_secondary.capacity()) *
                sizeof(PathLength);
   }
@@ -69,13 +68,13 @@ class LandmarkSetBound final : public Heuristic {
   /// active-landmark selection is still performed per query (it depends on
   /// the scoring node, which is not part of any cache key).
   LandmarkSetBound(const LandmarkIndex* index,
-                   std::shared_ptr<const LandmarkSetAggregates> aggregates,
+                   std::shared_ptr<const LandmarkAggregates> aggregates,
                    BoundDirection direction,
                    NodeId scoring_node = kInvalidNode,
                    uint32_t max_active = 0);
 
   /// The O(|L| * |S|) aggregation step, exposed for the cache.
-  static std::shared_ptr<const LandmarkSetAggregates> ComputeAggregates(
+  static std::shared_ptr<const LandmarkAggregates> ComputeAggregates(
       const LandmarkIndex& index, std::span<const NodeId> set,
       BoundDirection direction);
 
@@ -99,7 +98,7 @@ class LandmarkSetBound final : public Heuristic {
   // Aggregates over the set per landmark; shared when cached. "primary"
   // powers the difference whose minuend is a set aggregate; "secondary"
   // the one whose subtrahend is a set aggregate. See EstimateOne.
-  std::shared_ptr<const LandmarkSetAggregates> agg_;
+  std::shared_ptr<const LandmarkAggregates> agg_;
   std::vector<uint32_t> active_;          // Landmark slots to evaluate.
 };
 
@@ -112,11 +111,11 @@ struct TargetBoundCacheStats {
   size_t entries = 0;
 };
 
-/// LRU cache of SetAggregates keyed by (oracle identity, epoch, direction,
-/// node set) — the category-bound cache: repeated KPJ queries against the
-/// same POI category pay the per-set aggregation once. Thread-safe. The
-/// oracle's Identity() is part of the key, so aggregates computed by one
-/// oracle (or one oracle's contents) are never served to another. Epoch
+/// LRU cache of LandmarkAggregates keyed by (index identity, epoch,
+/// direction, node set) — the category-bound cache: repeated KPJ queries
+/// against the same POI category pay the per-set aggregation once.
+/// Thread-safe. The index's Identity() is part of the key, so aggregates
+/// computed from one index's tables are never served to another. Epoch
 /// invalidation is lazy (the epoch is part of the key) plus eager via
 /// PurgeOlderEpochs.
 class TargetBoundCache {
@@ -126,14 +125,13 @@ class TargetBoundCache {
   TargetBoundCache(const TargetBoundCache&) = delete;
   TargetBoundCache& operator=(const TargetBoundCache&) = delete;
 
-  std::shared_ptr<const SetAggregates> Lookup(uint64_t oracle_identity,
-                                              uint64_t epoch,
-                                              BoundDirection direction,
-                                              std::span<const NodeId> set);
+  std::shared_ptr<const LandmarkAggregates> Lookup(
+      uint64_t oracle_identity, uint64_t epoch, BoundDirection direction,
+      std::span<const NodeId> set);
 
   void Insert(uint64_t oracle_identity, uint64_t epoch,
               BoundDirection direction, std::span<const NodeId> set,
-              std::shared_ptr<const SetAggregates> aggregates);
+              std::shared_ptr<const LandmarkAggregates> aggregates);
 
   /// Eagerly removes every entry older than `current_epoch`; removals
   /// count as evictions.
@@ -144,7 +142,7 @@ class TargetBoundCache {
 
  private:
   struct Key {
-    uint64_t oracle;  // DistanceOracle::Identity()
+    uint64_t oracle;  // LandmarkIndex::Identity()
     uint64_t epoch;
     BoundDirection direction;
     std::vector<NodeId> set;
@@ -154,9 +152,9 @@ class TargetBoundCache {
     size_t operator()(const Key& key) const;
   };
   using LruList =
-      std::list<std::pair<Key, std::shared_ptr<const SetAggregates>>>;
+      std::list<std::pair<Key, std::shared_ptr<const LandmarkAggregates>>>;
 
-  static size_t EntryBytes(const Key& key, const SetAggregates& agg);
+  static size_t EntryBytes(const Key& key, const LandmarkAggregates& agg);
 
   size_t budget_bytes_;
   mutable std::mutex mu_;
@@ -168,14 +166,13 @@ class TargetBoundCache {
   std::atomic<uint64_t> evictions_{0};
 };
 
-/// Builds the oracle's set bound, serving the per-set aggregation
-/// (O(|L| * |S|) for ALT, a label merge for hub labels) from `cache` when
-/// possible. With a null cache this is ComputeSetAggregates + MakeSetBound
-/// directly. Cache hits/misses are counted into `algo` (if non-null) —
-/// and, either way, the returned bound is byte-identical to an uncached
-/// one: aggregates are a pure function of the key.
+/// Builds the landmark set bound, serving the O(|L| * |S|) per-set
+/// aggregation from `cache` when possible. With a null cache this is a
+/// plain LandmarkSetBound. Cache hits/misses are counted into `algo` (if
+/// non-null) — and, either way, the returned bound is byte-identical to an
+/// uncached one: aggregates are a pure function of the key.
 std::unique_ptr<Heuristic> MakeCachedSetBound(
-    const DistanceOracle* oracle, std::span<const NodeId> set,
+    const LandmarkIndex* oracle, std::span<const NodeId> set,
     BoundDirection direction, NodeId scoring_node, uint32_t max_active,
     TargetBoundCache* cache, uint64_t epoch, AlgoStats* algo);
 

@@ -45,7 +45,6 @@ Result<std::shared_ptr<ServingState>> ServingState::Load(
     const api::EngineConfig& config, uint64_t epoch, bool trusted) {
   KPJ_RETURN_IF_ERROR(config.Validate());
   std::optional<KpjInstance> loaded;
-  std::optional<HubLabelIndex> hub_labels;
   // Version-4 files are mapped, not copied: the peek decides the path, and
   // a failed peek (DIMACS text, missing file, ...) falls through so
   // LoadGraphAuto produces the authoritative error.
@@ -60,7 +59,6 @@ Result<std::shared_ptr<ServingState>> ServingState::Load(
   } else {
     Result<GraphFile> file = LoadGraphAuto(graph_path);
     if (!file.ok()) return file.status();
-    hub_labels = std::move(file.value().hub_labels);
     Result<KpjInstance> instance = KpjInstance::Wrap(
         std::move(file.value().graph), std::move(file.value().permutation));
     if (!instance.ok()) return instance.status();
@@ -69,10 +67,6 @@ Result<std::shared_ptr<ServingState>> ServingState::Load(
   auto state = std::make_shared<ServingState>(std::move(*loaded));
   state->epoch = epoch;
   state->graph_path = graph_path;
-  if (hub_labels.has_value()) {
-    KPJ_RETURN_IF_ERROR(
-        state->instance.AttachHubLabels(std::move(hub_labels).value()));
-  }
   if (!landmarks_path.empty()) {
     Result<LandmarkIndex> landmarks = LandmarkIndex::Load(landmarks_path);
     if (!landmarks.ok()) return landmarks.status();
@@ -82,14 +76,6 @@ Result<std::shared_ptr<ServingState>> ServingState::Load(
     }
     KPJ_RETURN_IF_ERROR(
         state->instance.AttachLandmarks(std::move(landmarks).value()));
-  }
-  if (config.oracle == OracleKind::kHubLabel) {
-    Status selected = state->instance.SelectOracle(OracleKind::kHubLabel);
-    if (!selected.ok()) {
-      return Status::InvalidArgument(
-          "--oracle hublabel needs a graph file with stored hub labels "
-          "(build one with 'kpj_cli index')");
-    }
   }
   // The instance is at its final heap address now; the engine may keep
   // references into it.
@@ -684,12 +670,10 @@ Result<api::SwapInfo> KpjServer::Swap(const api::SwapRequest& request) {
   // the pointer flip).
   std::lock_guard<std::mutex> swap_lock(swap_mutex_);
   std::shared_ptr<ServingState> old_state = state();
-  api::EngineConfig config = options_.engine;
-  if (request.oracle.has_value()) config.oracle = *request.oracle;
   Timer load_timer;
   uint64_t epoch = next_epoch_.fetch_add(1, std::memory_order_relaxed);
   Result<std::shared_ptr<ServingState>> loaded = ServingState::Load(
-      request.graph, request.landmarks, config, epoch,
+      request.graph, request.landmarks, options_.engine, epoch,
       options_.trusted_graphs);
   if (!loaded.ok()) return loaded.status();
   {

@@ -45,10 +45,10 @@ struct ServingState {
   ServingState(const ServingState&) = delete;
   ServingState& operator=(const ServingState&) = delete;
 
-  /// Loads a graph file (.gr = DIMACS text, else binary — stored hub
-  /// labels are attached automatically), optionally attaches a landmark
-  /// index (remapped into the stored layout), selects `config.oracle`,
-  /// and builds the engine. Version-4 files are mmap'd instead of copied:
+  /// Loads a graph file (.gr = DIMACS text, else binary; a v4 file's
+  /// embedded indexes are attached automatically), optionally attaches a
+  /// landmark index file (which must be in the stored layout), and builds
+  /// the engine. Version-4 files are mmap'd instead of copied:
   /// the state serves borrowed arrays out of the page cache, so startup
   /// and swap cost is independent of graph size (one checksum pass when
   /// `trusted` is false, O(1) when true) and concurrent server processes

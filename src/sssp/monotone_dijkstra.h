@@ -11,8 +11,8 @@
 
 namespace kpj {
 
-/// Full-SSSP Dijkstra tuned for offline index construction (landmark
-/// tables, hub-label searches): no early stopping, no epoch bookkeeping,
+/// Full-SSSP Dijkstra tuned for offline index construction (the landmark
+/// tables): no early stopping, no epoch bookkeeping,
 /// no cancellation — just distances and parents as fast as possible.
 ///
 /// With the repository's integer Weight the priority queue is a monotone

@@ -2,9 +2,9 @@
 #define KPJ_UTIL_EPOCH_ARRAY_H_
 
 #include <cstdint>
-#include <vector>
 
 #include "util/logging.h"
+#include "util/zeroed_array.h"
 
 namespace kpj {
 
@@ -12,22 +12,21 @@ namespace kpj {
 ///
 /// Queries over large graphs touch a tiny fraction of nodes; per-query
 /// distance/visited arrays are reset by bumping an epoch counter instead of
-/// clearing n entries. Reads of unstamped slots return the default value.
+/// clearing n entries. Reads of unstamped slots return the default value,
+/// so the value array never needs initializing: both arrays are
+/// ZeroedArrays, and construction touches no page.
 template <typename T>
 class EpochArray {
  public:
   EpochArray() : epoch_(1) {}
   EpochArray(size_t size, T default_value)
-      : default_(default_value),
-        values_(size, default_value),
-        stamps_(size, 0),
-        epoch_(1) {}
+      : default_(default_value), values_(size), stamps_(size), epoch_(1) {}
 
   /// Resizes (discarding contents) and sets the default value.
   void Reset(size_t size, T default_value) {
     default_ = default_value;
-    values_.assign(size, default_value);
-    stamps_.assign(size, 0);
+    values_ = ZeroedArray<T>(size);
+    stamps_ = ZeroedArray<uint32_t>(size);
     epoch_ = 1;
   }
 
@@ -35,7 +34,7 @@ class EpochArray {
   /// with a full clear every 2^32-1 resets).
   void NewEpoch() {
     if (++epoch_ == 0) {
-      std::fill(stamps_.begin(), stamps_.end(), 0);
+      stamps_.Clear();
       epoch_ = 1;
     }
   }
@@ -62,8 +61,8 @@ class EpochArray {
 
  private:
   T default_{};
-  std::vector<T> values_;
-  std::vector<uint32_t> stamps_;
+  ZeroedArray<T> values_;
+  ZeroedArray<uint32_t> stamps_;
   uint32_t epoch_;
 };
 
@@ -71,17 +70,17 @@ class EpochArray {
 class EpochSet {
  public:
   EpochSet() = default;
-  explicit EpochSet(size_t size) : stamps_(size, 0), epoch_(1) {}
+  explicit EpochSet(size_t size) : stamps_(size), epoch_(1) {}
 
   void Reset(size_t size) {
-    stamps_.assign(size, 0);
+    stamps_ = ZeroedArray<uint32_t>(size);
     epoch_ = 1;
   }
 
   /// Empties the set in O(1).
   void ClearAll() {
     if (++epoch_ == 0) {
-      std::fill(stamps_.begin(), stamps_.end(), 0);
+      stamps_.Clear();
       epoch_ = 1;
     }
   }
@@ -104,7 +103,7 @@ class EpochSet {
   }
 
  private:
-  std::vector<uint32_t> stamps_;
+  ZeroedArray<uint32_t> stamps_;
   uint32_t epoch_ = 1;
 };
 

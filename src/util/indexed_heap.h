@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "util/logging.h"
+#include "util/zeroed_array.h"
 
 namespace kpj {
 
@@ -27,7 +28,8 @@ class IndexedHeap {
 
   /// Resizes and clears. Existing contents are discarded.
   void Reset(size_t capacity) {
-    pos_.assign(capacity, kAbsent);
+    KPJ_CHECK(capacity < UINT32_MAX);
+    pos_ = ZeroedArray<uint32_t>(capacity);
     heap_.clear();
   }
 
@@ -49,7 +51,7 @@ class IndexedHeap {
   /// Current key of a contained item.
   Key KeyOf(uint32_t id) const {
     KPJ_DCHECK(Contains(id));
-    return heap_[pos_[id]].key;
+    return heap_[pos_[id] - 1].key;
   }
 
   /// Inserts a new item; `id` must not be contained.
@@ -57,14 +59,13 @@ class IndexedHeap {
     KPJ_DCHECK(id < pos_.size());
     KPJ_DCHECK(!Contains(id));
     heap_.push_back(Entry{key, id});
-    pos_[id] = heap_.size() - 1;
     SiftUp(heap_.size() - 1);
   }
 
   /// Lowers the key of a contained item; `key` must be <= current key.
   void DecreaseKey(uint32_t id, Key key) {
     KPJ_DCHECK(Contains(id));
-    size_t i = pos_[id];
+    size_t i = pos_[id] - 1;
     KPJ_DCHECK(!(heap_[i].key < key));
     heap_[i].key = key;
     SiftUp(i);
@@ -104,7 +105,6 @@ class IndexedHeap {
     heap_.pop_back();
     if (!heap_.empty()) {
       heap_[0] = last;
-      pos_[last.id] = 0;
       SiftDown(0);
     }
     return top;
@@ -135,8 +135,8 @@ class IndexedHeap {
     for (const auto& [id, key] : entries) {
       KPJ_DCHECK(id < pos_.size());
       KPJ_DCHECK(pos_[id] == kAbsent);
-      pos_[id] = heap_.size();
       heap_.push_back(Entry{key, id});
+      pos_[id] = SlotTag(heap_.size() - 1);
     }
   }
 
@@ -146,7 +146,12 @@ class IndexedHeap {
     uint32_t id;
   };
 
-  static constexpr size_t kAbsent = static_cast<size_t>(-1);
+  // pos_ holds slot + 1, so the zero a fresh ZeroedArray starts with
+  // means "absent" and sizing the heap touches no page.
+  static constexpr uint32_t kAbsent = 0;
+  static uint32_t SlotTag(size_t slot) {
+    return static_cast<uint32_t>(slot + 1);
+  }
 
   void SiftUp(size_t i) {
     Entry e = heap_[i];
@@ -154,11 +159,11 @@ class IndexedHeap {
       size_t parent = (i - 1) / kArity;
       if (!(e.key < heap_[parent].key)) break;
       heap_[i] = heap_[parent];
-      pos_[heap_[i].id] = i;
+      pos_[heap_[i].id] = SlotTag(i);
       i = parent;
     }
     heap_[i] = e;
-    pos_[e.id] = i;
+    pos_[e.id] = SlotTag(i);
   }
 
   void SiftDown(size_t i) {
@@ -174,14 +179,14 @@ class IndexedHeap {
       }
       if (!(heap_[best].key < e.key)) break;
       heap_[i] = heap_[best];
-      pos_[heap_[i].id] = i;
+      pos_[heap_[i].id] = SlotTag(i);
       i = best;
     }
     heap_[i] = e;
-    pos_[e.id] = i;
+    pos_[e.id] = SlotTag(i);
   }
 
-  std::vector<size_t> pos_;   // id -> heap slot (kAbsent if not contained)
+  ZeroedArray<uint32_t> pos_;  // id -> heap slot + 1 (kAbsent if absent)
   std::vector<Entry> heap_;   // slot -> (key, id)
 };
 

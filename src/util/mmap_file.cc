@@ -13,8 +13,6 @@
 namespace kpj {
 
 uint64_t Fnv1a64(const void* data, size_t bytes, uint64_t seed) {
-  // Same constants as the hub-label checksum (see hub_label_index.cc) so
-  // checksums computed here and there agree.
   constexpr uint64_t kPrime = 1099511628211ull;
   uint64_t h = seed;
   const uint8_t* p = static_cast<const uint8_t*>(data);

@@ -263,13 +263,19 @@ TEST(WireTest, AuxiliaryPayloadsRoundTrip) {
   SwapRequest swap;
   swap.graph = "/tmp/g.bin";
   swap.landmarks = "/tmp/l.bin";
-  swap.oracle = OracleKind::kHubLabel;
   Result<SwapRequest> sback = SwapRequestFromJson(ToJson(swap));
   ASSERT_TRUE(sback.ok());
   EXPECT_EQ(sback.value().graph, "/tmp/g.bin");
   EXPECT_EQ(sback.value().landmarks, "/tmp/l.bin");
-  ASSERT_TRUE(sback.value().oracle.has_value());
-  EXPECT_EQ(*sback.value().oracle, OracleKind::kHubLabel);
+  // The retired "oracle" field of older clients is ignored, like any
+  // unknown field (v1 additive rule).
+  Result<JsonValue> legacy_swap =
+      JsonValue::Parse("{\"graph\":\"g.bin\",\"oracle\":\"alt\"}");
+  ASSERT_TRUE(legacy_swap.ok());
+  Result<SwapRequest> legacy = SwapRequestFromJson(legacy_swap.value());
+  ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
+  EXPECT_EQ(legacy.value().graph, "g.bin");
+  EXPECT_EQ(ToJson(legacy.value()).Find("oracle"), nullptr);
 
   HealthInfo health;
   health.serving = true;
@@ -363,18 +369,28 @@ std::vector<std::string> Args(std::initializer_list<const char*> parts) {
 TEST(OptionsParseTest, ParsesTheSharedVocabulary) {
   Result<ParsedArgs> args = ParseFlagsOnly(Args(
       {"--workers", "4", "--cache-mb", "16",
-       "--oracle", "hublabel", "--deadline-ms", "25", "--slow-query-ms",
+       "--deadline-ms", "25", "--slow-query-ms",
        "1.5", "--algorithm", "da-spt", "--alpha", "1.3"}));
   ASSERT_TRUE(args.ok()) << args.status().ToString();
   Result<EngineConfig> config = ParseEngineConfig(args.value());
   ASSERT_TRUE(config.ok()) << config.status().ToString();
   EXPECT_EQ(config.value().workers, 4u);
   EXPECT_EQ(config.value().cache_mb, 16u);
-  EXPECT_EQ(config.value().oracle, OracleKind::kHubLabel);
   EXPECT_EQ(config.value().deadline_ms, 25.0);
   EXPECT_EQ(config.value().slow_query_ms, 1.5);
   EXPECT_EQ(config.value().algorithm, Algorithm::kDaSpt);
   EXPECT_EQ(config.value().alpha, 1.3);
+}
+
+TEST(OptionsParseTest, RetiredOracleFlagIsIgnored) {
+  // Older command lines still carry --oracle alt; unknown flags are left
+  // alone, so they parse to the same config as without it.
+  Result<ParsedArgs> args =
+      ParseFlagsOnly(Args({"--oracle", "alt", "--workers", "2"}));
+  ASSERT_TRUE(args.ok()) << args.status().ToString();
+  Result<EngineConfig> config = ParseEngineConfig(args.value());
+  ASSERT_TRUE(config.ok()) << config.status().ToString();
+  EXPECT_EQ(config.value().workers, 2u);
 }
 
 TEST(OptionsParseTest, ThreadsIsAnAliasForWorkers) {
@@ -418,7 +434,6 @@ TEST(OptionsParseTest, RejectsInvalidValuesWithFlagSpelledErrors) {
            {Args({"--cache-mb", "8", "--no-cache"}), "mutually exclusive"},
            {Args({"--deadline-ms", "-1"}), "--deadline-ms"},
            {Args({"--alpha", "1.0"}), "--alpha"},
-           {Args({"--oracle", "psychic"}), "oracle"},
            {Args({"--algorithm", "quantum"}), "algorithm"},
        }) {
     Result<ParsedArgs> args = ParseFlagsOnly(c.args);

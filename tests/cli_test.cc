@@ -329,6 +329,70 @@ TEST_F(CliFlowTest, PoisAndCategoryQuery) {
 }
 
 
+/// The " -> " path lines of a query's output (timing comments dropped).
+std::string PathLines(const std::string& text) {
+  std::istringstream in(text);
+  std::string line, paths;
+  while (std::getline(in, line)) {
+    if (line.find(" -> ") != std::string::npos) paths += line + "\n";
+  }
+  return paths;
+}
+
+TEST_F(CliFlowTest, ConvertToNonV4NamesDroppedIndexes) {
+  std::string g = PathFor("g.bin");
+  std::string lm = PathFor("g.lm");
+  std::string cats = PathFor("g.cats");
+  std::string g4 = PathFor("g4.bin");
+  std::string out;
+  ASSERT_EQ(Run({"generate", "--nodes", "2000", "--seed", "5", "--out", g},
+                &out),
+            0);
+  ASSERT_EQ(Run({"landmarks", "--graph", g, "--out", lm, "--count", "4"},
+                &out),
+            0);
+  ASSERT_EQ(Run({"pois", "--graph", g, "--out", cats}, &out), 0);
+  ASSERT_EQ(Run({"convert", "--in", g, "--format", "v4", "--landmarks", lm,
+                 "--categories", cats, "--out", g4},
+                &out),
+            0)
+      << out;
+  EXPECT_NE(out.find("+landmarks +categories"), std::string::npos) << out;
+
+  // A v4 input converted to v1/v2 or DIMACS keeps the graph but cannot
+  // carry the embedded indexes: the summary must say which were dropped.
+  for (const char* name : {"gb.bin", "g.gr"}) {
+    std::string target = PathFor(name);
+    ASSERT_EQ(Run({"convert", "--in", g4, "--format", "bin", "--out",
+                   target},
+                  &out),
+              0)
+        << out;
+    EXPECT_NE(out.find("dropped: landmarks, categories (only --format v4 "
+                       "stores them)"),
+              std::string::npos)
+        << name << ": " << out;
+  }
+  // The converted graph still answers exactly like the v4 file once the
+  // dropped landmarks are supplied again.
+  std::string want, got;
+  ASSERT_EQ(Run({"query", "--graph", g4, "--source", "0", "--targets",
+                 "100,700,1500", "--k", "4"},
+                &want),
+            0);
+  ASSERT_EQ(Run({"query", "--graph", PathFor("gb.bin"), "--landmarks", lm,
+                 "--source", "0", "--targets", "100,700,1500", "--k", "4"},
+                &got),
+            0);
+  EXPECT_FALSE(PathLines(want).empty());
+  EXPECT_EQ(PathLines(want), PathLines(got));
+
+  // Nothing embedded, nothing dropped.
+  ASSERT_EQ(Run({"convert", "--in", g, "--out", PathFor("plain.bin")}, &out),
+            0);
+  EXPECT_EQ(out.find("dropped"), std::string::npos) << out;
+}
+
 TEST_F(CliFlowTest, ObservabilityFlagsEmitMetricsAndTraces) {
   std::string g = PathFor("g.bin");
   std::string queries = PathFor("q.txt");

@@ -5,6 +5,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <string>
 
 #include "gen/road_gen.h"
@@ -156,6 +157,34 @@ TEST_F(SerializeTest, TruncatedFileRejected) {
   std::filesystem::resize_file(path, size / 2);
   Result<Graph> loaded = LoadGraphBinary(path);
   EXPECT_FALSE(loaded.ok());
+}
+
+TEST_F(SerializeTest, RetiredAndUnknownVersionsAreRejectedByNumber) {
+  // Version 3 (the retired hub-label format) and any unknown version are
+  // rejected up front, with the version named in the message.
+  GraphBuilder b(3);
+  b.AddEdge(0, 1, 1);
+  b.AddEdge(1, 2, 2);
+  Graph g = b.Build();
+  for (uint32_t version : {3u, 9u}) {
+    std::string path = PathFor("v" + std::to_string(version) + ".bin");
+    ASSERT_TRUE(SaveGraphBinary(g, path).ok());
+    // The header is an 8-byte magic followed by the 4-byte version.
+    {
+      std::fstream file(path, std::ios::binary | std::ios::in | std::ios::out);
+      ASSERT_TRUE(file);
+      file.seekp(8);
+      file.write(reinterpret_cast<const char*>(&version), sizeof(version));
+    }
+    EXPECT_EQ(PeekGraphFileVersion(path).value(), version);
+    Result<GraphFile> loaded = LoadGraphFile(path);
+    ASSERT_FALSE(loaded.ok()) << "version " << version;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
+    EXPECT_NE(loaded.status().message().find("unsupported version " +
+                                             std::to_string(version)),
+              std::string::npos)
+        << loaded.status().ToString();
+  }
 }
 
 TEST_F(SerializeTest, MissingFileIsIoError) {

@@ -1,6 +1,7 @@
 // Zero-copy (v4) graph format tests: page-aligned layout, owned and
-// mapped round trips, byte-identical answers under --mmap, and
-// corruption detection per section.
+// mapped round trips, byte-identical answers under --mmap, corruption
+// detection per section, and compatibility with files that still carry
+// retired section kinds.
 
 #include <gtest/gtest.h>
 
@@ -8,7 +9,9 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/api.h"
@@ -19,20 +22,17 @@
 #include "graph/reorder.h"
 #include "graph/serialize.h"
 #include "index/category_index.h"
-#include "index/hub_label_index.h"
 #include "index/landmark_index.h"
 #include "util/mmap_file.h"
 
 namespace kpj {
 namespace {
 
-/// Everything a v4 file can carry, built once and shared by all tests
-/// (hub-label construction dominates the fixture cost).
+/// Everything a v4 file can carry, built once and shared by all tests.
 struct Corpus {
   Graph graph;         // relabeled (stored) layout
   Graph reverse;
   Permutation permutation;
-  HubLabelIndex hub_labels;
   LandmarkIndex landmarks;
   CategoryIndex categories{0};
 
@@ -46,9 +46,6 @@ struct Corpus {
       c->permutation = ComputeReordering(original, ReorderStrategy::kDegree);
       c->graph = ApplyPermutation(original, c->permutation);
       c->reverse = c->graph.Reverse();
-      HubLabelOptions hub;
-      hub.order_seeds = 4;
-      c->hub_labels = HubLabelIndex::Build(c->graph, c->reverse, hub);
       LandmarkIndexOptions lm;
       lm.num_landmarks = 4;
       c->landmarks = LandmarkIndex::Build(c->graph, c->reverse, lm);
@@ -71,7 +68,6 @@ struct Corpus {
     s.graph = &graph;
     s.reverse = &reverse;
     s.permutation = &permutation;
-    s.hub_labels = &hub_labels;
     s.landmarks = &landmarks;
     s.categories = &categories;
     return s;
@@ -150,8 +146,6 @@ TEST_F(MmapGraphTest, MappedBundleBorrowsEverySection) {
   for (NodeId v = 0; v < corpus.graph.NumNodes(); v += 7) {
     EXPECT_EQ(bundle.permutation.ToNew(v), corpus.permutation.ToNew(v));
   }
-  ASSERT_TRUE(bundle.hub_labels.has_value());
-  EXPECT_TRUE(bundle.hub_labels->Equals(corpus.hub_labels));
   ASSERT_TRUE(bundle.landmarks.has_value());
   EXPECT_EQ(bundle.landmarks->num_landmarks(),
             corpus.landmarks.num_landmarks());
@@ -171,8 +165,6 @@ TEST_F(MmapGraphTest, OwnedLoadReadsV4Transparently) {
   ASSERT_TRUE(file.ok()) << file.status().ToString();
   EXPECT_FALSE(file.value().graph.borrowed());
   EXPECT_TRUE(file.value().graph.Equals(corpus.graph));
-  ASSERT_TRUE(file.value().hub_labels.has_value());
-  EXPECT_TRUE(file.value().hub_labels->Equals(corpus.hub_labels));
   ASSERT_TRUE(file.value().landmarks.has_value());
   ASSERT_TRUE(file.value().categories.has_value());
   EXPECT_TRUE(file.value().categories->Equals(corpus.categories));
@@ -181,12 +173,11 @@ TEST_F(MmapGraphTest, OwnedLoadReadsV4Transparently) {
 TEST_F(MmapGraphTest, PeekReportsVersion) {
   const Corpus& corpus = Corpus::Get();
   std::string v4 = WriteV4();
-  std::string v3 = PathFor("labels.v3");
-  ASSERT_TRUE(SaveGraphBinary(corpus.graph, corpus.permutation,
-                              &corpus.hub_labels, v3)
-                  .ok());
+  std::string v2 = PathFor("permuted.v2");
+  ASSERT_TRUE(
+      SaveGraphBinary(corpus.graph, corpus.permutation, v2).ok());
   EXPECT_EQ(PeekGraphFileVersion(v4).value(), 4u);
-  EXPECT_EQ(PeekGraphFileVersion(v3).value(), 3u);
+  EXPECT_EQ(PeekGraphFileVersion(v2).value(), 2u);
   EXPECT_FALSE(PeekGraphFileVersion(PathFor("missing.bin")).ok());
 }
 
@@ -204,17 +195,19 @@ TEST_F(MmapGraphTest, AllAlgorithmsByteIdenticalUnderMmap) {
   const Corpus& corpus = Corpus::Get();
   std::string path = WriteV4();
 
-  // Heap-owned reference instance, assembled the pre-v4 way.
+  // Heap-owned reference instance, assembled the pre-v4 way. Both sides
+  // bound with the same landmarks (embedded in the v4 file).
   Result<KpjInstance> heap_result =
       KpjInstance::Wrap(corpus.graph, corpus.permutation);
   ASSERT_TRUE(heap_result.ok());
   KpjInstance heap = std::move(heap_result).value();
   ASSERT_TRUE(heap.AttachLandmarks(corpus.landmarks).ok());
-  ASSERT_TRUE(heap.AttachHubLabels(corpus.hub_labels).ok());
 
   Result<KpjInstance> mapped_result = KpjInstance::LoadMapped(path);
   ASSERT_TRUE(mapped_result.ok()) << mapped_result.status().ToString();
   KpjInstance mapped = std::move(mapped_result).value();
+  ASSERT_NE(mapped.oracle(), nullptr);
+  EXPECT_TRUE(mapped.oracle()->Equals(corpus.landmarks));
   EXPECT_GT(mapped.mapped_bytes(), 0u);
   EXPECT_EQ(heap.mapped_bytes(), 0u);
 
@@ -252,7 +245,6 @@ TEST_F(MmapGraphTest, EngineConfigSweepByteIdenticalUnderMmap) {
   ASSERT_TRUE(heap_result.ok());
   KpjInstance heap = std::move(heap_result).value();
   ASSERT_TRUE(heap.AttachLandmarks(corpus.landmarks).ok());
-  ASSERT_TRUE(heap.AttachHubLabels(corpus.hub_labels).ok());
   Result<KpjInstance> mapped_result = KpjInstance::LoadMapped(path);
   ASSERT_TRUE(mapped_result.ok()) << mapped_result.status().ToString();
   KpjInstance mapped = std::move(mapped_result).value();
@@ -303,6 +295,99 @@ TEST_F(MmapGraphTest, EngineConfigSweepByteIdenticalUnderMmap) {
       }
     }
   }
+}
+
+/// Top-k paths (node sequence, length) of every algorithm for a fixed
+/// query.
+using Answers = std::vector<std::pair<std::vector<NodeId>, PathLength>>;
+Answers AnswersOf(const KpjInstance& instance) {
+  KpjQuery query;
+  query.sources = {77};
+  query.targets = {40, 99, 250, 731};
+  query.k = 5;
+  Answers answers;
+  for (Algorithm algorithm : kAllAlgorithms) {
+    KpjOptions options;
+    options.algorithm = algorithm;
+    Result<KpjResult> result = RunKpj(instance, query, options);
+    EXPECT_TRUE(result.ok()) << AlgorithmName(algorithm);
+    if (!result.ok()) continue;
+    for (const Path& path : result.value().paths) {
+      answers.emplace_back(
+          std::vector<NodeId>(path.nodes.begin(), path.nodes.end()),
+          path.length);
+    }
+  }
+  return answers;
+}
+
+TEST_F(MmapGraphTest, RetiredSectionKindsAreSkippedButChecksummed) {
+  // Kinds 7-11 and 21 once held the retired hub-label oracle. A v4 file
+  // that still carries them must map (verified and trusted) and answer
+  // exactly like the same graph without them. Build one by re-emitting a
+  // fresh file's sections plus extra sections of the retired kinds.
+  const std::string plain = WriteV4("plain.v4");
+  std::vector<char> bytes;
+  {
+    std::ifstream in(plain, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+  }
+  std::vector<SectionEntry> directory;
+  FileHeader header;
+  {
+    Result<MappedGraphBundle> reference = MapGraphFile(plain);
+    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+    directory = reference.value().file->directory();
+    header = reference.value().file->header();
+  }
+  SectionFileWriter writer(header.magic, header.version);
+  for (const SectionEntry& entry : directory) {
+    writer.AddSectionBytes(entry.kind, entry.elem_size,
+                           bytes.data() + entry.offset, entry.bytes,
+                           entry.count);
+  }
+  const std::vector<uint64_t> retired_payload(300, 0x0123456789abcdefull);
+  const std::vector<uint32_t> retired_kinds = {7, 8, 9, 10, 11, 21};
+  for (uint32_t kind : retired_kinds) {
+    writer.AddSection<uint64_t>(kind, retired_payload);
+  }
+  const std::string with_retired = PathFor("retired.v4");
+  ASSERT_TRUE(writer.WriteTo(with_retired).ok());
+
+  Result<KpjInstance> reference = KpjInstance::LoadMapped(plain);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  const Answers want = AnswersOf(reference.value());
+  ASSERT_FALSE(want.empty());
+  for (bool verify : {true, false}) {
+    MappedLoadOptions options;
+    options.verify_checksums = verify;
+    Result<KpjInstance> loaded = KpjInstance::LoadMapped(with_retired, options);
+    ASSERT_TRUE(loaded.ok()) << "verify=" << verify << ": "
+                             << loaded.status().ToString();
+    ASSERT_NE(loaded.value().oracle(), nullptr);
+    ASSERT_NE(loaded.value().categories(), nullptr);
+    EXPECT_EQ(AnswersOf(loaded.value()), want) << "verify=" << verify;
+  }
+
+  // The verified open still checksums every directory entry, retired ones
+  // included, and names the damaged section.
+  const SectionEntry* retired = nullptr;
+  {
+    Result<MappedGraphBundle> mapped = MapGraphFile(with_retired);
+    ASSERT_TRUE(mapped.ok());
+    retired = mapped.value().file->FindSection(10);
+    ASSERT_NE(retired, nullptr);
+    FlipByte(with_retired, retired->offset + retired->bytes / 2);
+  }
+  Result<MappedGraphBundle> corrupt = MapGraphFile(with_retired);
+  ASSERT_FALSE(corrupt.ok());
+  EXPECT_NE(corrupt.status().message().find(GraphSectionKindName(10)),
+            std::string::npos)
+      << corrupt.status().ToString();
+  MappedLoadOptions trusted;
+  trusted.verify_checksums = false;
+  EXPECT_TRUE(MapGraphFile(with_retired, trusted).ok());
 }
 
 TEST_F(MmapGraphTest, EveryCorruptSectionIsDetectedAndNamed) {

@@ -7,7 +7,7 @@
 #include <limits>
 #include <set>
 #include <string>
-
+#include <utility>
 #include <vector>
 
 #include "util/arena.h"
@@ -18,6 +18,7 @@
 #include "util/small_vec.h"
 #include "util/string_util.h"
 #include "util/types.h"
+#include "util/zeroed_array.h"
 
 namespace kpj {
 namespace {
@@ -80,6 +81,36 @@ TEST(EpochSetTest, InsertContainsClear) {
   set.Insert(2);
   set.ClearAll();
   EXPECT_FALSE(set.Contains(2));
+}
+
+TEST(EpochArrayTest, ResetDiscardsContentsAndChangesDefault) {
+  EpochArray<int> arr(3, 7);
+  arr.Set(1, 5);
+  arr.Reset(6, -2);
+  EXPECT_EQ(arr.size(), 6u);
+  for (size_t i = 0; i < arr.size(); ++i) {
+    EXPECT_FALSE(arr.Stamped(i));
+    EXPECT_EQ(arr.Get(i), -2);
+  }
+}
+
+// ---------------------------------------------------------- ZeroedArray
+
+TEST(ZeroedArrayTest, StartsZeroedClearsAndMoves) {
+  ZeroedArray<uint64_t> arr(1 << 20);  // Large enough to be mmap-backed.
+  ASSERT_EQ(arr.size(), size_t{1} << 20);
+  EXPECT_EQ(arr[0], 0u);
+  EXPECT_EQ(arr[arr.size() - 1], 0u);
+  arr[3] = 11;
+  arr[arr.size() - 1] = 12;
+  ZeroedArray<uint64_t> moved = std::move(arr);
+  EXPECT_EQ(arr.size(), 0u);  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(moved[3], 11u);
+  EXPECT_EQ(moved[moved.size() - 1], 12u);
+  moved.Clear();
+  EXPECT_EQ(moved[3], 0u);
+  EXPECT_EQ(moved[moved.size() - 1], 0u);
+  EXPECT_EQ(ZeroedArray<uint32_t>(0).size(), 0u);
 }
 
 // ------------------------------------------------------------------ Rng
