@@ -10,16 +10,18 @@
 #                                    # much faster than --asan)
 #   scripts/check.sh --tsan          # opt-in ThreadSanitizer run of the
 #                                    # concurrency suite (engine, pool,
-#                                    # parallel, trace,
-#                                    # observability, cache reuse, api,
-#                                    # socket, server, planner) only
+#                                    # trace, observability, cache reuse,
+#                                    # landmarks, api, socket, server,
+#                                    # planner) only
 #   scripts/check.sh --bench-gate    # opt-in perf gate: re-run bench_cache
 #                                    # and diff against the checked-in
 #                                    # BENCH_*.json baselines with
 #                                    # tools/compare_bench.py (>10% fails);
 #                                    # bench_planner diffs at 25% plus the
 #                                    # hard floors auto >= 1.0x best fixed
-#                                    # and >= 1.3x median fixed;
+#                                    # and >= 1.3x median fixed (its
+#                                    # routing and identity checks abort
+#                                    # inside the binary);
 #                                    # bench_mmap (v4 load/swap) and the
 #                                    # kpj_loadgen smoke report diff at a
 #                                    # loose 50% — load and service
@@ -68,8 +70,8 @@ elif [[ "${1:-}" == "--tsan" || "${KPJ_CHECK_TSAN:-0}" == "1" ]]; then
   cmake_flags+=("-DCMAKE_CXX_FLAGS=-fsanitize=thread -fno-sanitize-recover=all")
   # landmark_index_test is in the list for its multi-threaded
   # byte-identical-build property, not for raw coverage; planner_test for
-  # its multi-worker auto engines sharing the planner mutex.
-  ctest_flags+=("-R" "engine_test|thread_pool_test|parallel_test|trace_test|observability_test|cache_reuse_test|landmark_index_test|api_test|socket_test|server_test|planner_test")
+  # the lock-free Plan under multi-worker auto engines.
+  ctest_flags+=("-R" "engine_test|thread_pool_test|trace_test|observability_test|cache_reuse_test|landmark_index_test|api_test|socket_test|server_test|planner_test")
 elif [[ "${1:-}" == "--bench-gate" || "${KPJ_CHECK_BENCH_GATE:-0}" == "1" ]]; then
   mode=bench-gate
 fi
@@ -309,14 +311,13 @@ if [[ "$mode" == "bench-gate" ]]; then
   KPJ_BENCH_JSON="$gate_dir/BENCH_cache.json" "$build_dir/bench/bench_cache"
   python3 tools/compare_bench.py BENCH_cache.json "$gate_dir/BENCH_cache.json" \
     --threshold 0.10
-  # Adaptive-planner gate: the mixed-workload artifact diffs at a looser
-  # threshold (the planner re-learns from its static priors every round,
-  # so routing — and therefore timing — is noisier than a fixed
-  # algorithm's), while the issue's hard floors are asserted exactly:
-  # auto >= the best fixed algorithm end to end, >= 1.3x the median
-  # fixed choice, and byte-identical paths to the chosen solver (the
-  # bench itself aborts on any identity violation; "identical" records
-  # that the checks ran).
+  # Planner gate: the mixed-workload artifact diffs at 25%, while the
+  # hard floors are asserted exactly: auto >= the best fixed algorithm
+  # end to end, >= 1.3x the median fixed choice, and byte-identical paths
+  # to the chosen solver. The bench itself aborts on any identity or
+  # routing violation (every join query on DA-SPT, every cold and large_k
+  # query on IterBound_I-NL, the same choices in every round);
+  # "identical" records that the checks ran.
   KPJ_BENCH_JSON="$gate_dir/BENCH_planner.json" "$build_dir/bench/bench_planner"
   python3 tools/compare_bench.py BENCH_planner.json \
     "$gate_dir/BENCH_planner.json" --threshold 0.25

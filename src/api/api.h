@@ -134,7 +134,7 @@ struct QueryResponse {
   uint64_t nodes_settled = 0;
   /// Additive v1 fields: the algorithm that produced the paths
   /// (AlgorithmName spelling) and, when the adaptive planner made the
-  /// choice, which rule of its cost model fired. Both empty on responses
+  /// choice, which row of its rule table fired. Both empty on responses
   /// that never reached a solver (validation failures, shed queries).
   std::string algorithm_chosen;
   std::string planner_reason;

@@ -29,18 +29,13 @@ KpjEngine::KpjEngine(const KpjInstance& instance, KpjEngineOptions options)
       options_(std::move(options)),
       pool_(ResolveThreads(options_)),
       solvers_(pool_.num_workers()),
-      planner_(std::make_unique<QueryPlanner>(instance, options_.solver,
-                                              options_.planner)) {
+      planner_(instance, options_.solver) {
   // Eagerly build one solver per worker so the first queries do not pay
   // the O(n) workspace allocations, and so construction fails fast if the
   // options are unusable. In auto mode the warm column is the planner's
   // cold default; its other choices fill the grid lazily on first use.
   Algorithm warm = options_.solver.algorithm;
-  if (warm == Algorithm::kAuto) {
-    warm = instance_.oracle() != nullptr || options_.solver.oracle != nullptr
-               ? Algorithm::kIterBoundSptI
-               : Algorithm::kIterBoundSptINoLm;
-  }
+  if (warm == Algorithm::kAuto) warm = planner_.ColdAlgorithm();
   KpjOptions warm_options = options_.solver;
   warm_options.algorithm = warm;
   for (unsigned w = 0; w < pool_.num_workers(); ++w) {
@@ -99,21 +94,17 @@ Result<KpjResult> KpjEngine::RunOne(const KpjQuery& query, double deadline_ms,
       context.algorithm.value_or(options_.solver.algorithm);
   const bool planned = run_options.algorithm == Algorithm::kAuto;
   const char* planner_reason = "";
-  bool planner_resident = false;
-  uint64_t planner_shape_fp = 0;
   if (planned) {
     PlannerDecision decision =
-        planner_->Plan(query, cache_ctx.spt, cache_ctx.epoch);
+        planner_.Plan(query, cache_ctx.spt, cache_ctx.epoch);
     run_options.algorithm = decision.algorithm;
     planner_reason = decision.reason;
-    planner_resident = decision.resident;
-    planner_shape_fp = decision.shape_fp;
     metrics_.planner_choice[PlannerIndex(decision.algorithm)].Increment();
     if (decision.fallback) metrics_.planner_fallback.Increment();
   }
-  // Satellite of the planner work: algorithms whose measured SPT-cache
-  // hit benefit is negative must not pay the insert (sptp.cc skips the
-  // snapshot export and counts spt_cache_insert_skips).
+  // Algorithms whose measured SPT-cache hit benefit is negative must not
+  // pay the insert (sptp.cc skips the snapshot export and counts
+  // spt_cache_insert_skips).
   cache_ctx.allow_sptp_insert =
       QueryPlanner::SptInsertBeneficial(run_options.algorithm);
 
@@ -134,10 +125,7 @@ Result<KpjResult> KpjEngine::RunOne(const KpjQuery& query, double deadline_ms,
   metrics_.latency.Record(elapsed_ms);
 
   if (planned && result.ok()) {
-    // Feed the rolling profile (no-op for pinned planners) and stamp the
-    // decision provenance so api/server layers can report it.
-    planner_->RecordLatency(run_options.algorithm, planner_resident,
-                            planner_shape_fp, elapsed_ms);
+    // Stamp the decision provenance so api/server layers can report it.
     result.value().planner_reason = planner_reason;
   }
 
@@ -174,7 +162,10 @@ Result<KpjResult> KpjEngine::RunOne(const KpjQuery& query, double deadline_ms,
     log << ") queue_ms=" << context.queue_ms
         << " algorithm=" << AlgorithmName(r.algorithm_used)
         << " expansions=" << r.stats.algo.node_expansions
-        << " paths=" << r.paths.size();
+        << " paths=" << r.paths.size() << " k=" << query.k
+        << " sources=" << query.sources.size();
+    if (!query.sources.empty()) log << " source=" << query.sources[0];
+    log << " targets=" << query.targets.size();
     if (planned && r.planner_reason[0] != '\0') {
       log << " planner_reason=" << r.planner_reason;
     }

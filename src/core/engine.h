@@ -39,9 +39,11 @@ struct KpjEngineOptions {
   /// instance's landmarks are used (ResolveOptions).
   KpjOptions solver;
   /// Slow-query log threshold in milliseconds; queries at or above it are
-  /// reported through KPJ_LOG(Warning) with their query id (and, when a
-  /// deadline applies, the fraction of it consumed). Deadline-exceeded
-  /// queries are always logged while the threshold is active. 0 disables.
+  /// reported through KPJ_LOG(Warning) with their query id, the solver and
+  /// planner rule that ran, the query's shape (k, source count, first
+  /// source, target count) and, when a deadline applies, the fraction of
+  /// it consumed. Deadline-exceeded queries are always logged while the
+  /// threshold is active. 0 disables.
   double slow_query_ms = 0.0;
   /// Cross-query reuse cache budget in MiB, split between the SPT cache
   /// (3/4) and the category-bound cache (1/4); see DESIGN.md "Cross-query
@@ -50,11 +52,6 @@ struct KpjEngineOptions {
   /// shortcut recomputation of state a cold run reaches at the same
   /// program point. The CLI defaults this to 64 (--cache-mb/--no-cache).
   size_t cache_mb = 0;
-  /// Adaptive-planner knobs (core/planner.h), consulted only when
-  /// `solver.algorithm == Algorithm::kAuto` or a query carries an `auto`
-  /// override. The planner only changes which solver produces the
-  /// byte-identical answer, never the answer.
-  PlannerOptions planner;
 };
 
 /// Per-query service context threaded down from the server layer. The
@@ -137,15 +134,6 @@ class KpjEngine {
   const KpjInstance& instance() const { return instance_; }
   const KpjEngineOptions& options() const { return options_; }
 
-  /// The adaptive planner behind `--algorithm=auto`. Always constructed
-  /// (per-query overrides can engage it on a fixed-algorithm engine) but
-  /// consulted only for queries whose effective algorithm is kAuto —
-  /// fixed-algorithm queries bypass it entirely. Exposed mutable so tests
-  /// can pin a profile snapshot (QueryPlanner::PinProfile) and benches
-  /// can read the rolling profile.
-  QueryPlanner& planner() { return *planner_; }
-  const QueryPlanner& planner() const { return *planner_; }
-
   /// Enqueues one query (original ids) and returns a future for its
   /// result. Uses the engine's default deadline.
   std::future<Result<KpjResult>> Submit(KpjQuery query);
@@ -212,8 +200,10 @@ class KpjEngine {
   std::vector<
       std::array<std::unique_ptr<KpjSolver>, kNumPlannableAlgorithms>>
       solvers_;
-  /// The adaptive planner (see planner()); never null.
-  std::unique_ptr<QueryPlanner> planner_;
+  /// The rule-table planner behind `--algorithm=auto`. Consulted only for
+  /// queries whose effective algorithm is kAuto (the engine's or a
+  /// per-query override); fixed-algorithm queries bypass it entirely.
+  const QueryPlanner planner_;
   /// Cross-query reuse caches, shared by all workers (both are internally
   /// synchronized). Null when options_.cache_mb == 0.
   std::unique_ptr<SptCache> spt_cache_;

@@ -128,8 +128,8 @@ struct KpjResult {
   /// The solver that actually produced the paths. Equal to the configured
   /// algorithm in fixed mode; in `auto` mode it is the planner's choice.
   Algorithm algorithm_used = Algorithm::kIterBoundSptI;
-  /// Planner decision provenance (static string, never owned): which rule
-  /// of the cost model fired. Empty in fixed mode (planner bypassed).
+  /// Planner decision provenance (static string, never owned): which row
+  /// of the rule table fired. Empty in fixed mode (planner bypassed).
   const char* planner_reason = "";
 };
 

@@ -1,11 +1,8 @@
 #ifndef KPJ_CORE_PLANNER_H_
 #define KPJ_CORE_PLANNER_H_
 
-#include <array>
 #include <cstdint>
 #include <iterator>
-#include <mutex>
-#include <vector>
 
 #include "core/kpj_instance.h"
 #include "core/kpj_query.h"
@@ -23,185 +20,70 @@ inline constexpr size_t PlannerIndex(Algorithm a) {
   return static_cast<size_t>(a);
 }
 
-/// The planner's rolling per-algorithm latency profile plus the rolling
-/// lower-bound distance scale. All values are integers (fixed-point ×16)
-/// so updates are exact and snapshots byte-stable: the same sequence of
-/// RecordLatency calls always yields the same profile.
-///
-/// `latency_ewma_x16us[i]` is an exponentially weighted moving average of
-/// the observed per-query wall time of algorithm i, in microseconds ×16.
-/// Before any observation it holds the static prior (BENCH_cache /
-/// BENCH_engine orderings: IterBound_I fastest cold, DA slowest), so the
-/// cold-path argmin is meaningful from the first query.
-struct PlannerProfile {
-  std::array<uint64_t, kNumPlannableAlgorithms> latency_ewma_x16us;
-  std::array<uint64_t, kNumPlannableAlgorithms> samples;
-  /// DA-SPT when its reverse target-SPT is already resident is a different
-  /// cost regime from DA-SPT cold (no tree build), so resident-mode samples
-  /// feed this separate EWMA. The residency rules compare it against the
-  /// best forward algorithm instead of trusting residency unconditionally:
-  /// on instances where the forward solvers beat even a resident DA-SPT,
-  /// the planner measures that once and stops routing to DA-SPT.
-  uint64_t dasp_resident_ewma_x16us = 0;
-  uint64_t dasp_resident_samples = 0;
-  /// The static priors are *relative* costs — their absolute scale is
-  /// arbitrary, and on a large instance real per-query costs can sit two
-  /// orders of magnitude above them. This rolling EWMA of
-  /// observed_latency / static_prior (fixed-point ×256) re-anchors every
-  /// still-unmeasured prior to the instance's real magnitude, so the cold
-  /// argmin never has to burn a query on each candidate just to learn the
-  /// scale (the naive walk measured ~3.7x of the whole workload's best
-  /// fixed time in BENCH_planner).
-  uint64_t scale_x256 = 256;
-  /// Rolling mean of the oracle lower bound dist(source, V_T) observed at
-  /// planning time (PathLength units ×16); drives the distance quintile.
-  uint64_t lb_scale_x16 = 0;
-  uint64_t lb_samples = 0;
+/// k at or above which DA-SPT's per-deviation enumeration dwarfs any tree
+/// reuse (BENCH_planner: ~19x slower than IterBound_I at k=96 even with
+/// its reverse SPT resident), so rows 3 and 4 never route to it.
+inline constexpr uint32_t kPlannerLargeK = 64;
 
-  /// The static prior: relative cold-query cost ordering measured on the
-  /// repo's own benches. Absolute values only matter relative to each
-  /// other; online samples displace them at 1/8 weight per observation.
-  static PlannerProfile StaticPrior();
-
-  bool operator==(const PlannerProfile&) const = default;
-};
+/// Canonical target-set size at or above which a query is the paper's
+/// category join (all POIs of one category): row 4 runs DA-SPT on first
+/// sight, since the reverse tree it builds is keyed by the category alone
+/// and serves every source that follows.
+inline constexpr size_t kPlannerCategoryTargets = 32;
 
 /// One planning decision: which solver runs this query and why. `reason`
-/// is a static string from a fixed vocabulary (wire/log friendly, never
-/// owned). `fallback` marks queries the cost model's cache probes cannot
-/// help (GKPJ runs on an ephemeral augmented graph the caches do not
-/// describe) — exported as kpj_planner_fallback_total.
+/// is a static string from the table's fixed vocabulary (wire and log
+/// values, never owned). `fallback` marks GKPJ queries, which run on an
+/// ephemeral augmented graph the caches do not describe (exported as
+/// kpj_planner_fallback_total).
 struct PlannerDecision {
   Algorithm algorithm = Algorithm::kIterBoundSptI;
   const char* reason = "";
   bool fallback = false;
-  /// True when the decision adopted a resident reverse target-SPT; the
-  /// engine passes it back into RecordLatency so the sample lands in the
-  /// resident-mode EWMA rather than the cold one.
-  bool resident = false;
-  /// Fingerprint of the query's canonical target set (0 when none was
-  /// computed — GKPJ, cache-less engines, or an oracle attached, where
-  /// no DA-SPT rule reads the recurrence table). The engine passes it back
-  /// into RecordLatency so the measured latency also lands in the
-  /// shape-conditioned recurrence slot.
-  uint64_t shape_fp = 0;
 };
 
-struct PlannerOptions {
-  /// PRNG seed for the epsilon-greedy exploration arm. The sequence is a
-  /// pure function of (seed, decision index), so a single-threaded replay
-  /// of the same query stream explores at the same points.
-  uint64_t seed = 0x9e3779b97f4a7c15ull;
-  /// Explore on one decision in `explore_one_in` (epsilon = 1/N); 0
-  /// (the default) disables exploration. When enabled, exploration only
-  /// picks among candidates whose profiled latency is within 4x of the
-  /// best, and only on queries whose features predict a typical cost
-  /// (near/middle distance quintile, k below `large_k`). It still defaults
-  /// off: per-query costs are heavy-tailed enough that one explore can
-  /// cost more than its measurement informs (BENCH_planner), and the
-  /// scale-anchored priors already let the greedy argmin self-correct —
-  /// an algorithm is re-tried exactly when the incumbent's EWMA drifts
-  /// above its estimate.
-  uint32_t explore_one_in = 0;
-  /// k at or above which DA-SPT's per-deviation enumeration cost dominates
-  /// any tree reuse (BENCH_planner: ~19x slower than IterBound_I at k=96
-  /// even with the reverse SPT resident). At or above this the residency
-  /// and repeat rules never route to DA-SPT, and exploration is disabled.
-  /// Those rules only run without an oracle; with one attached, DA-SPT is
-  /// never chosen at any k, and large_k only gates exploration.
-  uint32_t large_k = 64;
-  /// Target-set size at or above which a query is treated as the paper's
-  /// category join (all POIs of one category) and routed to DA-SPT on
-  /// first sight — the reverse tree it builds is keyed by the category
-  /// alone, so the very first query seeds the cache for every source that
-  /// follows. Subject to the same profile/k gates as the residency rules,
-  /// and like them applied only without an oracle: with landmark bounds
-  /// the seeded DA-SPT queries lost to IterBound_I (perfbench
-  /// engine_category: DA-SPT picks p50 3.4 ms / p99 188 ms against
-  /// IterBound_I's 0.78 / 13.8 ms).
-  uint32_t category_targets = 32;
-  /// Pinned mode freezes the profile and the repeat-set table: Plan()
-  /// becomes a pure function of the query features, so choices are
-  /// identical at any (workers, cache) point. Used by the
-  /// determinism tests; RecordLatency becomes a no-op.
-  bool pinned = false;
-};
-
-/// Per-query algorithm planner behind `--algorithm=auto`.
+/// Per-query algorithm planner behind `--algorithm=auto`: a stateless rule
+/// table, so the choice is a pure function of (query, oracle attached,
+/// reverse target-SPT residency). It never looks at the answer, so it only
+/// changes *which* solver produces the byte-identical paths.
 ///
-/// The cost model reads only cheap observables — k, |V_T|, whether an
-/// oracle is attached, side-effect-free SPT-cache residency probes, the
-/// landmark distance quintile of the source, and the rolling per-algorithm
-/// latency profile — and never looks at the answer, so the choice can only
-/// change *which* solver produces the (byte-identical) paths, never the
-/// paths.
+/// First match wins:
+///  1. More than one source (GKPJ) → IterBound_I with an oracle, else
+///     IterBound_I-NL; "gkpj_no_cache", counted as a fallback.
+///  2. Oracle attached → IterBound_I; "cold_profile_best".
+///  3. Cache on, k < kPlannerLargeK, reverse target-SPT resident → DA-SPT;
+///     "resident_best_dasp".
+///  4. Cache on, k < kPlannerLargeK, |V_T| >= kPlannerCategoryTargets →
+///     DA-SPT; "category_targets_seed_spt".
+///  5. Otherwise → IterBound_I-NL; "no_oracle".
 ///
-/// DA-SPT is a choice only when no oracle is attached. With landmark
-/// bounds the forward incremental solver wins even against a resident
-/// reverse SPT (perfbench engine_category, 240k-node road graph: the
-/// DA-SPT picks ran at p50 3.4 ms / p99 188 ms against IterBound_I's
-/// 0.78 / 13.8 ms and set the workload's p99), so rules 2 and 4 fire
-/// only without an oracle, where resident DA-SPT does win the category
-/// join (bench_planner).
+/// Rows 3-5 apply only without an oracle. With landmark bounds the forward
+/// incremental solver beats even a resident DA-SPT tree (perfbench
+/// engine_category, 240k-node road graph: DA-SPT picks p50 3.4 ms / p99
+/// 188 ms against IterBound_I's 0.78 / 13.8 ms); without them the exact
+/// reverse-SPT distances win the category join (bench_planner).
 ///
-/// Decision ladder, first match wins:
-///  1. GKPJ (multiple sources) → profile-best cold algorithm; counted as
-///     a fallback (the caches do not describe the augmented graph).
-///  2. No oracle, reverse target-SPT resident (DA-SPT's key: targets
-///     only) and k below large_k → paired per-shape measurement: run
-///     DA-SPT once to measure the resident path, run the forward
-///     algorithm once to measure the alternative, then commit to
-///     whichever measured faster *for this target set* (the winner's
-///     estimate keeps updating, so the choice can still flip later).
-///     Residency is evidence the tree build is paid off, not a verdict:
-///     where the forward solver beats even a resident DA-SPT, the pair
-///     of measurements routes past the tree.
-///  3. Forward SPT_I snapshot resident for this (source, targets) →
-///     IterBound_I (the variant matching the oracle config).
-///  4. No oracle, category-sized target set (|V_T| >= category_targets)
-///     or a target set seen repeatedly, no tree resident yet, same
-///     k/profile gates as rule 2 → DA-SPT once, deliberately paying the
-///     full SPT to seed the cache for the repeats the shape predicts (the
-///     paper's join: category target sets recur across sources). The
-///     seed's cost lands in the cold DA-SPT EWMA; the repeats it enables
-///     land in the resident one.
-///  5. Cold → the EWMA argmin of the cold candidate set, optionally
-///     epsilon-greedy (1/explore_one_in, off by default; only on
-///     typical-cost queries: quintile <= 2, k < large_k, and only among
-///     candidates within 4x of the best).
-///
-/// Thread safety: Plan and RecordLatency are internally synchronized. In
-/// live mode concurrent workers may interleave profile updates in timing
-/// order (choices can differ run to run; answers cannot); pinned mode is
-/// read-only and therefore schedule-independent.
+/// Thread safety: Plan reads only the immutable instance and the
+/// internally synchronized cache, so concurrent calls need no lock.
 class QueryPlanner {
  public:
-  QueryPlanner(const KpjInstance& instance, const KpjOptions& base,
-               PlannerOptions options = {});
+  /// `base.oracle` may be null: the instance's landmarks count as the
+  /// oracle (ResolveOptions), exactly as they do for the solvers.
+  QueryPlanner(const KpjInstance& instance, const KpjOptions& base);
 
   /// Picks the solver for `query` (original ids). `cache` may be null
-  /// (cache-less engines still get the cost model minus the probes);
-  /// `epoch` is the instance mutation epoch the engine stamped into its
-  /// QueryCacheContext, so probe keys match solver keys exactly.
+  /// (cache-less engines skip rows 3 and 4); `epoch` is the instance
+  /// mutation epoch the engine stamped into its QueryCacheContext, so the
+  /// residency probe's key matches DA-SPT's own key exactly.
   PlannerDecision Plan(const KpjQuery& query, const SptCache* cache,
-                       uint64_t epoch);
+                       uint64_t epoch) const;
 
-  /// Feeds one observed per-query wall time into the rolling profile.
-  /// `resident` and `shape_fp` come from the PlannerDecision that ran the
-  /// query: resident DA-SPT samples update the resident-mode EWMA instead
-  /// of the cold one, and a non-zero shape fingerprint additionally files
-  /// the sample into that recurrence slot's per-shape estimate (DA-SPT
-  /// resident vs forward). No-op in pinned mode.
-  void RecordLatency(Algorithm algorithm, bool resident, uint64_t shape_fp,
-                     double elapsed_ms);
-
-  PlannerProfile ProfileSnapshot() const;
-
-  /// Replaces the profile and freezes it (sets pinned mode). With a
-  /// pinned profile, Plan() is a pure function of the query features.
-  void PinProfile(const PlannerProfile& profile);
-
-  const PlannerOptions& options() const { return options_; }
+  /// The solver rows 2 and 5 pick: IterBound_I with an oracle, else
+  /// IterBound_I-NL. The engine warms this column for auto engines.
+  Algorithm ColdAlgorithm() const {
+    return has_oracle_ ? Algorithm::kIterBoundSptI
+                       : Algorithm::kIterBoundSptINoLm;
+  }
 
   /// Whether inserting into the SPT cache pays off for `algorithm`'s
   /// substrate. SPT_P's measured hit benefit is negative (BENCH_cache
@@ -213,47 +95,8 @@ class QueryPlanner {
   }
 
  private:
-  /// Distance quintile (0 = nearest .. 4 = farthest) of `lb` against the
-  /// rolling scale; 2 (neutral) while the scale has no samples.
-  static int Quintile(uint64_t lb_x16, uint64_t scale_x16);
-
-  /// Profile latency estimate for `a`: the live EWMA once a sample exists,
-  /// otherwise the static prior re-anchored by the learned scale.
-  uint64_t Effective(Algorithm a) const;
-
-  /// Cold-path candidate algorithms under the current oracle config.
-  std::vector<Algorithm> ColdCandidates() const;
-
   const KpjInstance& instance_;
-  KpjOptions base_;  ///< Oracle-resolved solver knobs (algorithm ignored).
-  PlannerOptions options_;
-
-  /// Fixed-size direct-mapped recurrence table over target-set
-  /// fingerprints: detects the paper's join shape (same category queried
-  /// from many sources) before any tree is cached, and — once one is —
-  /// holds the paired per-shape latency estimates the residency rule
-  /// arbitrates with. A global per-algorithm EWMA cannot arbitrate this:
-  /// it averages over shapes, and a forward solver that is cheap on small
-  /// ad-hoc queries can be 3x slower than a resident DA-SPT on the very
-  /// category the decision is about (and vice versa on another instance).
-  /// Only the DA-SPT rules read it, so it is untouched when an oracle is
-  /// attached.
-  struct RepeatSlot {
-    uint64_t fingerprint = 0;
-    uint32_t count = 0;
-    /// EWMA of measured latency for queries of this shape run on DA-SPT
-    /// with its tree resident; 0 = not yet measured.
-    uint64_t dasp_x16us = 0;
-    /// EWMA of measured latency for queries of this shape run on any
-    /// forward algorithm; 0 = not yet measured.
-    uint64_t fwd_x16us = 0;
-  };
-  static constexpr size_t kRepeatSlots = 256;
-
-  mutable std::mutex mu_;
-  PlannerProfile profile_;
-  std::array<RepeatSlot, kRepeatSlots> repeats_{};
-  uint64_t decisions_ = 0;  ///< Exploration PRNG stream index.
+  bool has_oracle_;
 };
 
 }  // namespace kpj

@@ -4,10 +4,9 @@
 namespace kpj {
 
 /// Shared hardware-clamp policy for every component that takes a thread
-/// count: the engine's worker pool, the parallel landmark builder, the free
-/// ParallelFor, and the CLI's --threads/--workers validation. Having
-/// one implementation keeps "how many workers does N really mean" identical
-/// everywhere.
+/// count: the engine's worker pool, the parallel landmark builder, and the
+/// CLI's --threads/--workers validation. Having one implementation keeps
+/// "how many workers does N really mean" identical everywhere.
 
 /// Advisory clamp for an explicit thread-count request: the request clamped
 /// to `std::thread::hardware_concurrency()`. When hardware concurrency is

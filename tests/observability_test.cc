@@ -192,10 +192,26 @@ TEST(ObservabilityTest, SlowQueryThresholdCountsAndLogs) {
   config.workers = 1;
   config.slow_query_ms = 1e-6;
   KpjEngine engine(made.value(), config.ToEngineOptions());
-  for (const Result<KpjResult>& r : engine.RunBatch(queries)) {
+  testing::internal::CaptureStderr();
+  std::vector<Result<KpjResult>> results = engine.RunBatch(queries);
+  const std::string log = testing::internal::GetCapturedStderr();
+  for (const Result<KpjResult>& r : results) {
     ASSERT_TRUE(r.ok());
   }
   EXPECT_EQ(engine.MetricsSnapshot().slow_queries, queries.size());
+  // Each line carries the query's shape, so the planner row that chose
+  // the solver can be read off the line.
+  for (size_t i = 0; i < queries.size(); ++i) {
+    const std::string shape =
+        " k=" + std::to_string(queries[i].k) + " sources=1 source=" +
+        std::to_string(queries[i].sources[0]) +
+        " targets=" + std::to_string(queries[i].targets.size());
+    const size_t line = log.find("slow query id=" + std::to_string(i) + " ");
+    ASSERT_NE(line, std::string::npos) << log;
+    EXPECT_NE(log.substr(line, log.find('\n', line) - line).find(shape),
+              std::string::npos)
+        << "query " << i << " lacks '" << shape << "' in:\n" << log;
+  }
 
   // Disabled threshold: nothing is slow.
   api::EngineConfig quiet;

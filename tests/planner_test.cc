@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <string>
 #include <vector>
 
@@ -73,127 +74,135 @@ KpjEngineOptions AutoOptions(unsigned workers, size_t cache_mb) {
   return opt;
 }
 
-TEST(PlannerProfileTest, StaticPriorEncodesBenchOrdering) {
-  PlannerProfile p = PlannerProfile::StaticPrior();
-  for (Algorithm a : kAllAlgorithms) {
-    EXPECT_EQ(p.samples[PlannerIndex(a)], 0u);
-    EXPECT_GT(p.latency_ewma_x16us[PlannerIndex(a)], 0u);
+/// `count` distinct node ids drawn from `seed`: one target category.
+std::vector<NodeId> MakeCategory(const KpjInstance& instance, size_t count,
+                                 uint64_t seed) {
+  Rng rng(seed);
+  std::vector<NodeId> category;
+  for (uint64_t t : rng.SampleDistinct(count, instance.NumNodes())) {
+    category.push_back(static_cast<NodeId>(t));
   }
-  // IterBound_I fastest cold, DA slowest; the resident DA-SPT prior
-  // undercuts every forward prior so the first residency hit is taken
-  // (and immediately measured).
-  uint64_t spti = p.latency_ewma_x16us[PlannerIndex(Algorithm::kIterBoundSptI)];
-  EXPECT_LT(spti, p.latency_ewma_x16us[PlannerIndex(Algorithm::kIterBound)]);
-  EXPECT_LT(p.latency_ewma_x16us[PlannerIndex(Algorithm::kIterBound)],
-            p.latency_ewma_x16us[PlannerIndex(Algorithm::kDA)]);
-  EXPECT_LT(p.dasp_resident_ewma_x16us, spti);
-  EXPECT_EQ(p.scale_x256, 256u);
+  return category;
 }
 
-TEST(QueryPlannerTest, PinnedPlanIsPureAndRecordLatencyIsANoOp) {
-  KpjInstance instance = MakeInstance(/*landmarks=*/true);
-  KpjOptions base;
-  base.algorithm = Algorithm::kAuto;
-  QueryPlanner planner(instance, base);
-  planner.PinProfile(PlannerProfile::StaticPrior());
-  PlannerProfile pinned = planner.ProfileSnapshot();
-
-  KpjQuery query = MakeQuery(instance.NumNodes(), 7);
-  PlannerDecision first = planner.Plan(query, nullptr, 0);
-  for (int i = 0; i < 32; ++i) {
-    // Try hard to perturb the frozen profile between plans.
-    planner.RecordLatency(first.algorithm, false, 0, 1000.0 * (i + 1));
-    planner.RecordLatency(Algorithm::kDaSpt, true, 12345, 0.001);
-    PlannerDecision again = planner.Plan(query, nullptr, 0);
-    EXPECT_EQ(again.algorithm, first.algorithm);
-    EXPECT_STREQ(again.reason, first.reason);
-    EXPECT_EQ(again.fallback, first.fallback);
+/// A source drawn from `seed` that lies outside `targets`: a source inside
+/// the set would be dropped from the canonical target set, which changes
+/// both its size and the cache key.
+NodeId SourceOutside(const KpjInstance& instance,
+                     const std::vector<NodeId>& targets, uint64_t seed) {
+  Rng source_rng(seed);
+  for (;;) {
+    NodeId s =
+        static_cast<NodeId>(source_rng.NextBounded(instance.NumNodes()));
+    if (std::find(targets.begin(), targets.end(), s) == targets.end()) {
+      return s;
+    }
   }
-  EXPECT_EQ(planner.ProfileSnapshot(), pinned);
 }
 
-TEST(QueryPlannerTest, MultiSourceQueriesFallBackToProfileBest) {
-  KpjInstance instance = MakeInstance(/*landmarks=*/true);
-  KpjOptions base;
-  base.algorithm = Algorithm::kAuto;
-  QueryPlanner planner(instance, base);
-
-  KpjQuery gkpj = MakeQuery(instance.NumNodes(), 11);
-  gkpj.sources.push_back((gkpj.sources[0] + 1) % instance.NumNodes());
-  PlannerDecision d = planner.Plan(gkpj, nullptr, 0);
-  EXPECT_TRUE(d.fallback);
-  EXPECT_STREQ(d.reason, "gkpj_no_cache");
-  EXPECT_NE(d.algorithm, Algorithm::kAuto);
+/// A single-source query from outside `targets` toward all of them.
+KpjQuery JoinQuery(const KpjInstance& instance,
+                   const std::vector<NodeId>& targets, uint64_t source_seed,
+                   uint32_t k = 6) {
+  KpjQuery q;
+  q.sources = {SourceOutside(instance, targets, source_seed)};
+  q.targets = targets;
+  q.k = k;
+  return q;
 }
 
-TEST(QueryPlannerTest, ColdArgminFollowsRecordedLatencies) {
-  KpjInstance instance = MakeInstance(/*landmarks=*/true);
+KpjOptions AutoBase() {
   KpjOptions base;
   base.algorithm = Algorithm::kAuto;
-  QueryPlanner planner(instance, base);
-
-  KpjQuery query = MakeQuery(instance.NumNodes(), 13);
-  // Under the static prior the cold argmin is IterBound_I.
-  EXPECT_EQ(planner.Plan(query, nullptr, 0).algorithm,
-            Algorithm::kIterBoundSptI);
-
-  // The first real sample replaces the prior outright (the prior's scale
-  // is arbitrary) and re-anchors every still-unmeasured prior, so a single
-  // slow sample scales the whole profile up without reordering it. Only
-  // *relative* evidence moves the argmin: measure IterBound_I slow and
-  // IterBound_P fast, and the argmin must flip to IterBound_P.
-  planner.RecordLatency(Algorithm::kIterBoundSptI, false, 0, 50.0);
-  PlannerProfile after = planner.ProfileSnapshot();
-  size_t spti = PlannerIndex(Algorithm::kIterBoundSptI);
-  EXPECT_EQ(after.samples[spti], 1u);
-  EXPECT_EQ(after.latency_ewma_x16us[spti], 50u * 1000 * 16);
-  EXPECT_NE(after.scale_x256, 256u);
-  EXPECT_EQ(planner.Plan(query, nullptr, 0).algorithm,
-            Algorithm::kIterBoundSptI);
-
-  planner.RecordLatency(Algorithm::kIterBoundSptP, false, 0, 5.0);
-  PlannerDecision d = planner.Plan(query, nullptr, 0);
-  EXPECT_EQ(d.algorithm, Algorithm::kIterBoundSptP);
-  EXPECT_STREQ(d.reason, "cold_profile_best");
+  return base;
 }
 
-TEST(QueryPlannerTest, ResidentDaSptSamplesFeedTheResidentEwma) {
-  KpjInstance instance = MakeInstance(/*landmarks=*/true);
-  KpjOptions base;
-  base.algorithm = Algorithm::kAuto;
-  QueryPlanner planner(instance, base);
-
-  planner.RecordLatency(Algorithm::kDaSpt, /*resident=*/true, 0, 2.0);
-  PlannerProfile p = planner.ProfileSnapshot();
-  EXPECT_EQ(p.dasp_resident_samples, 1u);
-  EXPECT_EQ(p.dasp_resident_ewma_x16us, 2u * 1000 * 16);
-  // Resident samples must not pollute the cold DA-SPT estimate.
-  EXPECT_EQ(p.samples[PlannerIndex(Algorithm::kDaSpt)], 0u);
+void ExpectDecision(const PlannerDecision& d, Algorithm algorithm,
+                    const char* reason, bool fallback = false) {
+  EXPECT_EQ(d.algorithm, algorithm) << AlgorithmName(d.algorithm);
+  EXPECT_STREQ(d.reason, reason);
+  EXPECT_EQ(d.fallback, fallback);
 }
 
-TEST(QueryPlannerTest, ExplorationStreamIsAPureFunctionOfTheSeed) {
-  KpjInstance instance = MakeInstance(/*landmarks=*/true);
-  KpjOptions base;
-  base.algorithm = Algorithm::kAuto;
-  PlannerOptions popt;
-  popt.explore_one_in = 3;
-  popt.seed = 42;
+// --- The rule table, row by row --------------------------------------------
 
-  QueryPlanner a(instance, base, popt);
-  QueryPlanner b(instance, base, popt);
-  std::vector<KpjQuery> queries;
-  for (uint64_t i = 0; i < 64; ++i) {
-    queries.push_back(MakeQuery(instance.NumNodes(), 100 + i));
+TEST(QueryPlannerTest, Row1GkpjTakesTheColdSolverAndCountsAFallback) {
+  SptCache cache(1 << 20);
+  for (bool landmarks : {true, false}) {
+    KpjInstance instance = MakeInstance(landmarks);
+    QueryPlanner planner(instance, AutoBase());
+    // Category-sized and small k: GKPJ still wins over rows 2-4.
+    KpjQuery gkpj = JoinQuery(instance, MakeCategory(instance, 40, 11), 12);
+    gkpj.sources.push_back(SourceOutside(instance, gkpj.targets, 13));
+    ExpectDecision(planner.Plan(gkpj, &cache, 0),
+                   landmarks ? Algorithm::kIterBoundSptI
+                             : Algorithm::kIterBoundSptINoLm,
+                   "gkpj_no_cache", /*fallback=*/true);
   }
-  bool explored = false;
-  for (const KpjQuery& q : queries) {
-    PlannerDecision da = a.Plan(q, nullptr, 0);
-    PlannerDecision db = b.Plan(q, nullptr, 0);
-    EXPECT_EQ(da.algorithm, db.algorithm);
-    EXPECT_STREQ(da.reason, db.reason);
-    if (std::string(da.reason) == "explore") explored = true;
+}
+
+TEST(QueryPlannerTest, Row2OracleAlwaysRunsIterBoundI) {
+  KpjInstance instance = MakeInstance(/*landmarks=*/true);
+  QueryPlanner planner(instance, AutoBase());
+  EXPECT_EQ(planner.ColdAlgorithm(), Algorithm::kIterBoundSptI);
+  SptCache cache(1 << 20);
+  const std::vector<NodeId> category = MakeCategory(instance, 40, 15);
+  for (const SptCache* probe : {&cache, static_cast<SptCache*>(nullptr)}) {
+    ExpectDecision(planner.Plan(MakeQuery(instance.NumNodes(), 14), probe, 0),
+                   Algorithm::kIterBoundSptI, "cold_profile_best");
+    ExpectDecision(planner.Plan(JoinQuery(instance, category, 16), probe, 0),
+                   Algorithm::kIterBoundSptI, "cold_profile_best");
   }
-  EXPECT_TRUE(explored);
+}
+
+TEST(QueryPlannerTest, Row4CategorySizeBoundaryIs32Targets) {
+  KpjInstance instance = MakeInstance(/*landmarks=*/false);
+  QueryPlanner planner(instance, AutoBase());
+  SptCache cache(1 << 20);
+  const std::vector<NodeId> category =
+      MakeCategory(instance, kPlannerCategoryTargets, 17);
+  ExpectDecision(planner.Plan(JoinQuery(instance, category, 18), &cache, 0),
+                 Algorithm::kDaSpt, "category_targets_seed_spt");
+  const std::vector<NodeId> smaller(category.begin(), category.end() - 1);
+  ExpectDecision(planner.Plan(JoinQuery(instance, smaller, 18), &cache, 0),
+                 Algorithm::kIterBoundSptINoLm, "no_oracle");
+
+  // The count is over the canonical set: duplicates and the source itself
+  // do not make a 31-target query category-sized.
+  KpjQuery padded = JoinQuery(instance, smaller, 18);
+  padded.targets.push_back(smaller.front());
+  padded.targets.push_back(padded.sources[0]);
+  ExpectDecision(planner.Plan(padded, &cache, 0),
+                 Algorithm::kIterBoundSptINoLm, "no_oracle");
+}
+
+TEST(QueryPlannerTest, Row4LargeKBoundaryIs64) {
+  KpjInstance instance = MakeInstance(/*landmarks=*/false);
+  QueryPlanner planner(instance, AutoBase());
+  SptCache cache(1 << 20);
+  const std::vector<NodeId> category = MakeCategory(instance, 40, 19);
+  ExpectDecision(
+      planner.Plan(JoinQuery(instance, category, 20, kPlannerLargeK - 1),
+                   &cache, 0),
+      Algorithm::kDaSpt, "category_targets_seed_spt");
+  ExpectDecision(
+      planner.Plan(JoinQuery(instance, category, 20, kPlannerLargeK), &cache,
+                   0),
+      Algorithm::kIterBoundSptINoLm, "no_oracle");
+}
+
+TEST(QueryPlannerTest, Row5CacheOffOrSmallSetRunsNoLandmarkSolver) {
+  KpjInstance instance = MakeInstance(/*landmarks=*/false);
+  QueryPlanner planner(instance, AutoBase());
+  EXPECT_EQ(planner.ColdAlgorithm(), Algorithm::kIterBoundSptINoLm);
+  // Cache off: a category-sized set cannot seed anything.
+  ExpectDecision(
+      planner.Plan(JoinQuery(instance, MakeCategory(instance, 40, 21), 22),
+                   nullptr, 0),
+      Algorithm::kIterBoundSptINoLm, "no_oracle");
+  SptCache cache(1 << 20);
+  ExpectDecision(planner.Plan(MakeQuery(instance.NumNodes(), 23), &cache, 0),
+                 Algorithm::kIterBoundSptINoLm, "no_oracle");
 }
 
 // --- Engine-level behavior --------------------------------------------------
@@ -234,70 +243,75 @@ TEST(PlannerEngineTest, PerQueryAutoOverrideEngagesThePlanner) {
   EXPECT_EQ(chosen, 1u);
 }
 
-/// `count` distinct node ids drawn from `seed`: one target category.
-std::vector<NodeId> MakeCategory(const KpjInstance& instance, size_t count,
-                                 uint64_t seed) {
-  Rng rng(seed);
-  std::vector<NodeId> category;
-  for (uint64_t t : rng.SampleDistinct(count, instance.NumNodes())) {
-    category.push_back(static_cast<NodeId>(t));
-  }
-  return category;
-}
-
-/// A source drawn from `seed` that lies outside `targets`: a source inside
-/// the set would be dropped from the canonical target set, which changes
-/// both the cache key and the recurrence fingerprint.
-NodeId SourceOutside(const KpjInstance& instance,
-                     const std::vector<NodeId>& targets, uint64_t seed) {
-  Rng source_rng(seed);
-  for (;;) {
-    NodeId s =
-        static_cast<NodeId>(source_rng.NextBounded(instance.NumNodes()));
-    if (std::find(targets.begin(), targets.end(), s) == targets.end()) {
-      return s;
-    }
-  }
-}
-
-TEST(PlannerEngineTest, CategoryJoinWalksTheMeasurementLadder) {
-  // The paper's join shape without an oracle: one 40-target category
-  // queried from distinct sources. The planner must (1) seed the reverse
-  // SPT via DA-SPT on first sight, (2) measure the resident DA-SPT path,
-  // (3) probe the forward algorithm once, (4) commit to the measured
-  // winner. With an oracle attached DA-SPT is never a choice (see
-  // CategoryJoinWithOracleNeverPicksDaSpt).
+TEST(PlannerEngineTest, Row3ResidentReverseTreeRunsDaSpt) {
+  // A small target set (row 4 cannot fire) whose reverse SPT a per-query
+  // DA-SPT override made resident: every later source toward the same set
+  // runs DA-SPT on that tree, until k reaches kPlannerLargeK.
   KpjInstance instance = MakeInstance(/*landmarks=*/false);
   KpjEngine engine(instance, AutoOptions(1, /*cache_mb=*/32));
-
-  const std::vector<NodeId> category = MakeCategory(instance, 40, 29);
-  auto run = [&](uint64_t source_seed) {
-    KpjQuery q;
-    q.sources = {SourceOutside(instance, category, source_seed)};
-    q.targets = category;
-    q.k = 6;
+  const std::vector<NodeId> pair = MakeCategory(instance, 4, 29);
+  auto reason = [&](const KpjQuery& q) {
     Result<KpjResult> r = engine.Submit(q).get();
-    EXPECT_TRUE(r.ok());
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
     return std::string(r.value().planner_reason);
   };
 
-  EXPECT_EQ(run(300), "category_targets_seed_spt");
-  EXPECT_EQ(run(301), "resident_measure_dasp");
-  EXPECT_EQ(run(302), "resident_probe_forward");
-  std::string committed = run(303);
-  EXPECT_TRUE(committed == "resident_best_dasp" ||
-              committed == "resident_best_forward")
-      << committed;
+  EXPECT_EQ(reason(JoinQuery(instance, pair, 300)), "no_oracle");
+  QueryContext force;
+  force.algorithm = Algorithm::kDaSpt;
+  ASSERT_TRUE(
+      engine.Submit(JoinQuery(instance, pair, 301), 0.0, force).get().ok());
+  EXPECT_EQ(reason(JoinQuery(instance, pair, 302)), "resident_best_dasp");
+  EXPECT_EQ(reason(JoinQuery(instance, pair, 303, kPlannerLargeK - 1)),
+            "resident_best_dasp");
+  EXPECT_EQ(reason(JoinQuery(instance, pair, 304, kPlannerLargeK)),
+            "no_oracle");
+  // Both row-3 picks ran DA-SPT; the forced run bypassed the planner.
+  EXPECT_EQ(engine.MetricsSnapshot()
+                .planner_choice[PlannerIndex(Algorithm::kDaSpt)],
+            2u);
+}
 
-  // k at or above large_k disqualifies the residency routing even with
-  // the tree resident: the query falls through to the cold rule.
-  KpjQuery big;
-  big.sources = {SourceOutside(instance, category, 304)};
-  big.targets = category;
-  big.k = engine.options().planner.large_k;
-  Result<KpjResult> r = engine.Submit(big).get();
-  ASSERT_TRUE(r.ok());
-  EXPECT_STREQ(r.value().planner_reason, "no_oracle");
+TEST(PlannerEngineTest, CategoryJoinSeedsThenReusesTheReverseTree) {
+  // The paper's join shape without an oracle: one 40-target category
+  // queried from distinct sources. The first query seeds the reverse SPT
+  // (row 4); every later one finds it resident (row 3).
+  KpjInstance instance = MakeInstance(/*landmarks=*/false);
+  KpjEngine engine(instance, AutoOptions(1, /*cache_mb=*/32));
+  const std::vector<NodeId> category = MakeCategory(instance, 40, 29);
+  std::vector<std::string> reasons;
+  for (uint64_t seed = 310; seed < 314; ++seed) {
+    Result<KpjResult> r = engine.Submit(JoinQuery(instance, category, seed))
+                              .get();
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r.value().algorithm_used, Algorithm::kDaSpt);
+    reasons.push_back(r.value().planner_reason);
+  }
+  EXPECT_EQ(reasons,
+            (std::vector<std::string>{
+                "category_targets_seed_spt", "resident_best_dasp",
+                "resident_best_dasp", "resident_best_dasp"}));
+}
+
+TEST(PlannerEngineTest, Row2HoldsWithAResidentReverseTree) {
+  // With an oracle, a reverse SPT made resident by a per-query DA-SPT
+  // override must not pull the planner off IterBound_I.
+  KpjInstance instance = MakeInstance(/*landmarks=*/true);
+  KpjEngine engine(instance, AutoOptions(1, /*cache_mb=*/32));
+  const std::vector<NodeId> category = MakeCategory(instance, 40, 33);
+  QueryContext force;
+  force.algorithm = Algorithm::kDaSpt;
+  ASSERT_TRUE(engine.Submit(JoinQuery(instance, category, 320), 0.0, force)
+                  .get()
+                  .ok());
+  ASSERT_GT(engine.MetricsSnapshot().spt_cache_insertions, 0u);
+  for (uint64_t seed = 321; seed < 324; ++seed) {
+    Result<KpjResult> r =
+        engine.Submit(JoinQuery(instance, category, seed)).get();
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r.value().algorithm_used, Algorithm::kIterBoundSptI);
+    EXPECT_STREQ(r.value().planner_reason, "cold_profile_best");
+  }
 }
 
 TEST(PlannerEngineTest, CategoryJoinWithOracleNeverPicksDaSpt) {
@@ -394,40 +408,56 @@ TEST(PlannerEngineTest, AutoAnswersAreByteIdenticalToTheChosenSolver) {
   }
 }
 
-TEST(PlannerEngineTest, PinnedChoicesAreIdenticalAcrossExecutionPoints) {
-  // With a pinned profile and a workload of distinct ad-hoc queries (no
-  // repeats, sub-category target sets), every decision is a pure function
-  // of the query features — so both the answers and the per-algorithm
-  // choice counters must be byte-identical at any (workers, cache) point.
+TEST(PlannerEngineTest, ChoicesAreIdenticalAcrossExecutionPoints) {
+  // The table reads no clock and keeps no state, and with an oracle it
+  // reads no cache either: the answers, the per-query choices and the
+  // choice counters must be byte-identical at every (workers, cache)
+  // point, for ad-hoc queries and a recurring category alike.
   KpjInstance instance = MakeInstance(/*landmarks=*/true);
+  const std::vector<NodeId> category = MakeCategory(instance, 36, 41);
   std::vector<KpjQuery> workload;
   for (uint64_t i = 0; i < 16; ++i) {
-    workload.push_back(MakeQuery(instance.NumNodes(), 700 + i));
+    workload.push_back(i % 4 == 0 ? JoinQuery(instance, category, 700 + i)
+                                  : MakeQuery(instance.NumNodes(), 700 + i));
   }
 
+  struct Run {
+    std::string paths;
+    std::string choices;
+    std::array<uint64_t, kNumPlannableAlgorithms> counts;
+  };
   auto run = [&](unsigned workers, size_t cache_mb) {
     KpjEngine engine(instance, AutoOptions(workers, cache_mb));
-    engine.planner().PinProfile(PlannerProfile::StaticPrior());
-    std::vector<Result<KpjResult>> results = engine.RunBatch(workload);
-    std::string canon;
-    for (const auto& r : results) canon += CanonicalPaths(r) + "\n";
-    return std::make_pair(canon, engine.MetricsSnapshot().planner_choice);
+    Run out;
+    for (const Result<KpjResult>& r : engine.RunBatch(workload)) {
+      out.paths += CanonicalPaths(r) + "\n";
+      if (r.ok()) {
+        out.choices += std::string(AlgorithmName(r.value().algorithm_used)) +
+                       "/" + r.value().planner_reason + "\n";
+      }
+    }
+    out.counts = engine.MetricsSnapshot().planner_choice;
+    return out;
   };
 
-  auto [ref_paths, ref_choices] = run(1, 0);
+  const Run ref = run(1, 0);
   uint64_t total = 0;
-  for (uint64_t c : ref_choices) total += c;
+  for (uint64_t c : ref.counts) total += c;
   EXPECT_EQ(total, workload.size());
+  EXPECT_EQ(ref.counts[PlannerIndex(Algorithm::kIterBoundSptI)],
+            workload.size());
 
   for (auto [workers, cache_mb] :
        {std::pair<unsigned, size_t>{1u, 16},
         {2u, 0},
         {4u, 16},
         {3u, 16}}) {
-    auto [paths, choices] = run(workers, cache_mb);
-    EXPECT_EQ(paths, ref_paths)
+    const Run got = run(workers, cache_mb);
+    EXPECT_EQ(got.paths, ref.paths)
         << "workers=" << workers << " cache=" << cache_mb;
-    EXPECT_EQ(choices, ref_choices)
+    EXPECT_EQ(got.choices, ref.choices)
+        << "workers=" << workers << " cache=" << cache_mb;
+    EXPECT_EQ(got.counts, ref.counts)
         << "workers=" << workers << " cache=" << cache_mb;
   }
 }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <numeric>
@@ -106,6 +107,12 @@ TEST(ThreadPoolTest, ClampToHardwareBehavior) {
   EXPECT_EQ(ThreadPool::ClampToHardware(hw + 1), hw);
   EXPECT_EQ(ThreadPool::ClampToHardware(1u << 20), hw);
   EXPECT_EQ(ThreadPool::ClampToHardware(1u << 20), EffectiveWorkers(1u << 20));
+  EXPECT_EQ(EffectiveWorkers(0), 1u);
+  EXPECT_EQ(EffectiveWorkers(2), std::min(2u, hw));
+  // Monotone in the request.
+  for (unsigned t = 1; t < 20; ++t) {
+    EXPECT_LE(EffectiveWorkers(t), EffectiveWorkers(t + 1));
+  }
 }
 
 TEST(ThreadPoolTest, ResolveWorkerCount) {
